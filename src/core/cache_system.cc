@@ -98,18 +98,23 @@ CacheSystem::extraTransferCycles(unsigned fetch_words) const
     return divCeil(fetch_words - 4, cfg.transferWordsPerCycle);
 }
 
+template <Mode M>
 CacheSystem::L2Result
 CacheSystem::l2Access(bool is_inst, Addr paddr, Cycles now,
                       unsigned fetch_words)
 {
     cache::TagStore &store = l2Store(is_inst);
-    const L2SideConfig &side =
-        is_inst ? cfg.l2InstSide() : cfg.l2DataSide();
 
     (is_inst ? st.l2iAccesses : st.l2dAccesses) += 1;
 
+    // Warm mode leaves access at 0, so main memory sees the
+    // caller's `now` (see charge()).
     L2Result res;
-    res.access = side.accessTime + extraTransferCycles(fetch_words);
+    if constexpr (M == Mode::Detail) {
+        const L2SideConfig &side =
+            is_inst ? cfg.l2InstSide() : cfg.l2DataSide();
+        res.access = side.accessTime + extraTransferCycles(fetch_words);
+    }
 
     if (cache::TagStore::Ref line = store.find(paddr)) {
         store.touch(line);
@@ -128,6 +133,7 @@ CacheSystem::l2Access(bool is_inst, Addr paddr, Cycles now,
     return res;
 }
 
+template <Mode M>
 Cycles
 CacheSystem::ifetchMiss(Cycles now, Cycles stall, Addr paddr)
 {
@@ -139,31 +145,31 @@ CacheSystem::ifetchMiss(Cycles now, Cycles stall, Addr paddr)
     // the drain into L2-D (Section 9).
     if (!cfg.concurrentIRefill) {
         const Cycles wait = wb.drainAll(now + stall);
-        stall += wait;
-        comp.wbWait += wait;
+        charge<M>(stall, comp.wbWait, wait);
     }
 
     const L2Result r =
-        l2Access(true, paddr, now + stall, cfg.l1i.fetchWords);
-    stall += r.access + r.memory;
-    comp.l1iMiss += r.access;
-    comp.l2iMiss += r.memory;
+        l2Access<M>(true, paddr, now + stall, cfg.l1i.fetchWords);
+    charge<M>(stall, comp.l1iMiss, r.access);
+    charge<M>(stall, comp.l2iMiss, r.memory);
 
     cache::Eviction evicted;
     l1i.allocate(paddr, evicted);
     return stall;
 }
 
-Cycles
-CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now)
+template <Mode M>
+void
+CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now,
+                                     Cycles &stall)
 {
     Cycles wait = 0;
     switch (cfg.loadBypass) {
       case LoadBypass::None:
-        wait = wb.drainAll(now);
+        wait = wb.drainAll(now + stall);
         break;
       case LoadBypass::Associative:
-        wait = wb.drainLine(now, l1d.lineAddr(paddr),
+        wait = wb.drainLine(now + stall, l1d.lineAddr(paddr),
                             cfg.l1d.lineBytes());
         break;
       case LoadBypass::DirtyBit: {
@@ -176,16 +182,16 @@ CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now)
         const cache::TagStore::Ref victim =
             line ? line : l1d.victim(paddr);
         if (victim.valid() && victim.dirty())
-            wait = wb.drainAll(now);
+            wait = wb.drainAll(now + stall);
         else
             wb.noteBypass();
         break;
       }
     }
-    comp.wbWait += wait;
-    return wait;
+    charge<M>(stall, comp.wbWait, wait);
 }
 
+template <Mode M>
 cache::TagStore::Ref
 CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
 {
@@ -207,13 +213,13 @@ CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
     if (cfg.writePolicy == WritePolicy::WriteBack && evicted.valid &&
         evicted.dirty) {
         const Cycles wait = wb.push(now + stall, evicted.lineAddr);
-        stall += wait;
-        comp.wbWait += wait;
+        charge<M>(stall, comp.wbWait, wait);
         applyWriteToL2(evicted.lineAddr);
     }
     return line;
 }
 
+template <Mode M>
 Cycles
 CacheSystem::loadMiss(Cycles now, Cycles stall, Addr paddr,
                       cache::TagStore::LineIndex idx)
@@ -223,15 +229,14 @@ CacheSystem::loadMiss(Cycles now, Cycles stall, Addr paddr,
         ++st.writeOnlyReadMisses;
     ++st.l1dReadMisses;
 
-    stall += dataMissWriteBufferWait(paddr, now + stall);
+    dataMissWriteBufferWait<M>(paddr, now, stall);
 
     const L2Result r =
-        l2Access(false, paddr, now + stall, cfg.l1d.fetchWords);
-    stall += r.access + r.memory;
-    comp.l1dMiss += r.access;
-    comp.l2dMiss += r.memory;
+        l2Access<M>(false, paddr, now + stall, cfg.l1d.fetchWords);
+    charge<M>(stall, comp.l1dMiss, r.access);
+    charge<M>(stall, comp.l2dMiss, r.memory);
 
-    refillL1D(paddr, now, stall);
+    refillL1D<M>(paddr, now, stall);
     return stall;
 }
 
@@ -256,23 +261,24 @@ CacheSystem::applyWriteToL2(Addr paddr)
     // bus cost is folded into the effective drain time (DESIGN.md).
 }
 
+template <Mode M>
 Cycles
 CacheSystem::storeMissWriteBack(Cycles now, Cycles stall, Addr paddr)
 {
     // Write-allocate: fetch the line like a read miss; the write
     // itself needs no extra cycle (Section 6).
     ++st.l1dWriteMisses;
-    stall += dataMissWriteBufferWait(paddr, now + stall);
+    dataMissWriteBufferWait<M>(paddr, now, stall);
     const L2Result r =
-        l2Access(false, paddr, now + stall, cfg.l1d.fetchWords);
-    stall += r.access + r.memory;
-    comp.l1dMiss += r.access;
-    comp.l2dMiss += r.memory;
-    cache::TagStore::Ref nl = refillL1D(paddr, now, stall);
+        l2Access<M>(false, paddr, now + stall, cfg.l1d.fetchWords);
+    charge<M>(stall, comp.l1dMiss, r.access);
+    charge<M>(stall, comp.l2dMiss, r.memory);
+    cache::TagStore::Ref nl = refillL1D<M>(paddr, now, stall);
     nl.setDirty(true);
     return stall;
 }
 
+template <Mode M>
 Cycles
 CacheSystem::storeMissInvalidate(Cycles stall, Addr paddr)
 {
@@ -281,21 +287,20 @@ CacheSystem::storeMissInvalidate(Cycles stall, Addr paddr)
     // cycle invalidates the corrupted line.  (Only meaningful for a
     // direct-mapped L1-D, where the way is implied; the design
     // study's L1-D is always direct mapped.)
-    stall += 1;
-    comp.l1Writes += 1;
+    charge<M>(stall, comp.l1Writes, 1);
     if (cfg.l1d.assoc == 1)
         l1d.victim(paddr).invalidate();
     return stall;
 }
 
+template <Mode M>
 Cycles
 CacheSystem::storeMissWriteOnly(Cycles stall, Addr paddr)
 {
     ++st.l1dWriteMisses;
     // The second cycle updates the tag and marks the line
     // write-only; subsequent writes to it hit (Section 6).
-    stall += 1;
-    comp.l1Writes += 1;
+    charge<M>(stall, comp.l1Writes, 1);
     cache::Eviction evicted;
     cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
     nl.setWriteOnly(true);
@@ -304,6 +309,7 @@ CacheSystem::storeMissWriteOnly(Cycles stall, Addr paddr)
     return stall;
 }
 
+template <Mode M>
 Cycles
 CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
                                bool partial_word)
@@ -311,8 +317,7 @@ CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
     ++st.l1dWriteMisses;
     // Second cycle: update the tag; only the written word (if a
     // full-word write) becomes valid.
-    stall += 1;
-    comp.l1Writes += 1;
+    charge<M>(stall, comp.l1Writes, 1);
     cache::Eviction evicted;
     cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
     nl.setDirty(true);
@@ -320,118 +325,20 @@ CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
     return stall;
 }
 
-// Warm miss paths: state-only twins of the miss paths above.  They
-// keep the same `now` plumbing so the write buffer's entry completion
-// times and main memory's bus/dirty-buffer state evolve on the warm
-// clock, but the stall cycles every call returns are discarded and no
-// CPI bucket is charged.
-
-void
-CacheSystem::warmL2Touch(bool is_inst, Addr paddr, Cycles now)
-{
-    cache::TagStore &store = l2Store(is_inst);
-    if (cache::TagStore::Ref line = store.find(paddr)) {
-        store.touch(line);
-        return;
-    }
-    cache::Eviction evicted;
-    store.allocate(paddr, evicted);
-    memory.fetchLine(now, evicted.valid && evicted.dirty);
-}
-
-void
-CacheSystem::warmIfetchMiss(Cycles now, Addr paddr)
-{
-    if (!cfg.concurrentIRefill)
-        wb.drainAll(now);
-    warmL2Touch(true, paddr, now);
-    cache::Eviction evicted;
-    l1i.allocate(paddr, evicted);
-}
-
-void
-CacheSystem::warmDataMissWbState(Addr paddr, Cycles now)
-{
-    switch (cfg.loadBypass) {
-      case LoadBypass::None:
-        wb.drainAll(now);
-        break;
-      case LoadBypass::Associative:
-        wb.drainLine(now, l1d.lineAddr(paddr), cfg.l1d.lineBytes());
-        break;
-      case LoadBypass::DirtyBit: {
-        cache::TagStore::Ref line = l1d.find(paddr);
-        const cache::TagStore::Ref victim =
-            line ? line : l1d.victim(paddr);
-        if (victim.valid() && victim.dirty())
-            wb.drainAll(now);
-        break;
-      }
-    }
-}
-
-cache::TagStore::Ref
-CacheSystem::warmRefillL1D(Addr paddr, Cycles now)
-{
-    if (cache::TagStore::Ref line = l1d.find(paddr)) {
-        line.setWriteOnly(false);
-        line.setDirty(false);
-        line.setValidMask(l1d.fullMask());
-        l1d.touch(line);
-        return line;
-    }
-    cache::Eviction evicted;
-    cache::TagStore::Ref line = l1d.allocate(paddr, evicted);
-    if (cfg.writePolicy == WritePolicy::WriteBack && evicted.valid &&
-        evicted.dirty) {
-        wb.push(now, evicted.lineAddr);
-        applyWriteToL2(evicted.lineAddr);
-    }
-    return line;
-}
-
-void
-CacheSystem::warmLoadMiss(Cycles now, Addr paddr)
-{
-    warmDataMissWbState(paddr, now);
-    warmL2Touch(false, paddr, now);
-    warmRefillL1D(paddr, now);
-}
-
-void
-CacheSystem::warmStoreMissWriteBack(Cycles now, Addr paddr)
-{
-    warmDataMissWbState(paddr, now);
-    warmL2Touch(false, paddr, now);
-    cache::TagStore::Ref nl = warmRefillL1D(paddr, now);
-    nl.setDirty(true);
-}
-
-void
-CacheSystem::warmStoreMissInvalidate(Addr paddr)
-{
-    if (cfg.l1d.assoc == 1)
-        l1d.victim(paddr).invalidate();
-}
-
-void
-CacheSystem::warmStoreMissWriteOnly(Addr paddr)
-{
-    cache::Eviction evicted;
-    cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
-    nl.setWriteOnly(true);
-    nl.setDirty(true);
-    nl.setValidMask(0);
-}
-
-void
-CacheSystem::warmStoreMissSubblock(Addr paddr, bool partial_word)
-{
-    cache::Eviction evicted;
-    cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
-    nl.setDirty(true);
-    nl.setValidMask(partial_word ? 0 : l1d.wordBit(paddr));
-}
+// The header's access paths call the miss paths in both modes.
+#define GAAS_INSTANTIATE_MISS_PATHS(M)                                 \
+    template Cycles CacheSystem::ifetchMiss<M>(Cycles, Cycles, Addr); \
+    template Cycles CacheSystem::loadMiss<M>(                         \
+        Cycles, Cycles, Addr, cache::TagStore::LineIndex);            \
+    template Cycles CacheSystem::storeMissWriteBack<M>(Cycles, Cycles, \
+                                                       Addr);         \
+    template Cycles CacheSystem::storeMissInvalidate<M>(Cycles, Addr); \
+    template Cycles CacheSystem::storeMissWriteOnly<M>(Cycles, Addr);  \
+    template Cycles CacheSystem::storeMissSubblock<M>(Cycles, Addr,    \
+                                                      bool);
+GAAS_INSTANTIATE_MISS_PATHS(Mode::Detail)
+GAAS_INSTANTIATE_MISS_PATHS(Mode::Warm)
+#undef GAAS_INSTANTIATE_MISS_PATHS
 
 void
 CacheSystem::resetStats()

@@ -23,6 +23,18 @@
  * path out of the host I-cache).  GenericAccessSpec instantiates
  * the exact same code with runtime config reads, so the generic and
  * specialized paths are bit-identical by construction.
+ *
+ * One path, two modes: every access and miss path also takes a
+ * compile-time Mode.  Mode::Detail is the cycle-accounting model.
+ * Mode::Warm is functional warming for sampled simulation: the same
+ * code performs every state mutation -- TLB fills, L1/L2 lookups,
+ * LRU touches and allocations, dirty and valid-mask updates,
+ * write-buffer pushes and drains, main memory's bus and dirty-buffer
+ * evolution -- while `if constexpr` compiles out the stall and CPI
+ * bucket arithmetic, so a warm access returns 0 and every time it
+ * hands the write buffer and main memory stays at the caller's
+ * `now`.  The event counters still tick in warm mode; the
+ * resetStats() that starts every measurement interval clears them.
  */
 
 #ifndef GAAS_CORE_CACHE_SYSTEM_HH
@@ -70,6 +82,16 @@ struct FastAccessSpec
     static constexpr WritePolicy policy = Policy;
 };
 
+/**
+ * What an access path computes (see file comment): Detail charges
+ * stall cycles and CPI buckets, Warm only evolves hierarchy state.
+ */
+enum class Mode
+{
+    Detail,
+    Warm,
+};
+
 /** The memory side of the machine; see file comment. */
 class CacheSystem
 {
@@ -108,38 +130,15 @@ class CacheSystem
 
     /** @name Specialized access paths (see file comment) */
     ///@{
-    template <class Spec>
+    template <class Spec, Mode M = Mode::Detail>
     Cycles ifetchT(Cycles now, Pid pid, Addr vaddr);
 
-    template <class Spec>
+    template <class Spec, Mode M = Mode::Detail>
     Cycles loadT(Cycles now, Pid pid, Addr vaddr);
 
-    template <class Spec>
+    template <class Spec, Mode M = Mode::Detail>
     Cycles storeT(Cycles now, Pid pid, Addr vaddr,
                   bool partial_word);
-    ///@}
-
-    /** @name Functional-warming paths (sampled simulation)
-     *  Mirror every *state* mutation of ifetchT/loadT/storeT -- TLB
-     *  fills, L1/L2 lookups/LRU touches/allocations, dirty and
-     *  valid-mask updates, write-buffer pushes and drains, main
-     *  memory's bus and dirty-buffer evolution -- without computing
-     *  stall cycles or charging CPI-bucket losses.  The few event
-     *  counters shared helpers do bump are cleared by the
-     *  resetStats() that precedes every measurement interval, so
-     *  warming is invisible in the measured statistics.  Defined
-     *  after the class, next to the detailed paths they shadow.
-     */
-    ///@{
-    template <class Spec>
-    void warmIfetchT(Cycles now, Pid pid, Addr vaddr);
-
-    template <class Spec>
-    void warmLoadT(Cycles now, Pid pid, Addr vaddr);
-
-    template <class Spec>
-    void warmStoreT(Cycles now, Pid pid, Addr vaddr,
-                    bool partial_word);
     ///@}
 
     /** Data-side L2 tag-set software prefetch, for the batched
@@ -216,53 +215,60 @@ class CacheSystem
             store.touchIdx(idx);
     }
 
+    /** Charge @p c stall cycles to @p stall and CPI bucket
+     *  @p bucket.  Compiled out in warm mode, so a warm path's
+     *  stall stays 0 and every `now + stall` it forms is `now`. */
+    template <Mode M>
+    static void
+    charge(Cycles &stall, Cycles &bucket, Cycles c)
+    {
+        if constexpr (M == Mode::Detail) {
+            stall += c;
+            bucket += c;
+        }
+    }
+
     /** @name Out-of-line miss paths
      *  Kept out of the inlined hit paths on purpose: misses are the
      *  rare case, and the compiler would otherwise inline hundreds
      *  of instructions of drain/refill logic into every simulate
-     *  loop specialization.
+     *  loop specialization.  Instantiated for both modes in
+     *  cache_system.cc.
      */
     ///@{
+    template <Mode M>
     [[gnu::noinline]] Cycles ifetchMiss(Cycles now, Cycles stall,
                                         Addr paddr);
+    template <Mode M>
     [[gnu::noinline]] Cycles
     loadMiss(Cycles now, Cycles stall, Addr paddr,
              cache::TagStore::LineIndex idx);
+    template <Mode M>
     [[gnu::noinline]] Cycles storeMissWriteBack(Cycles now,
                                                 Cycles stall,
                                                 Addr paddr);
+    template <Mode M>
     [[gnu::noinline]] Cycles storeMissInvalidate(Cycles stall,
                                                  Addr paddr);
+    template <Mode M>
     [[gnu::noinline]] Cycles storeMissWriteOnly(Cycles stall,
                                                 Addr paddr);
+    template <Mode M>
     [[gnu::noinline]] Cycles storeMissSubblock(Cycles stall,
                                                Addr paddr,
                                                bool partial_word);
     ///@}
 
-    /** @name Out-of-line warm miss paths (state-only twins of the
-     *  miss paths above; same rationale for staying out of line). */
-    ///@{
-    [[gnu::noinline]] void warmIfetchMiss(Cycles now, Addr paddr);
-    [[gnu::noinline]] void warmLoadMiss(Cycles now, Addr paddr);
-    [[gnu::noinline]] void warmStoreMissWriteBack(Cycles now,
-                                                  Addr paddr);
-    [[gnu::noinline]] void warmStoreMissInvalidate(Addr paddr);
-    [[gnu::noinline]] void warmStoreMissWriteOnly(Addr paddr);
-    [[gnu::noinline]] void warmStoreMissSubblock(Addr paddr,
-                                                 bool partial_word);
-    ///@}
-
-    void warmL2Touch(bool is_inst, Addr paddr, Cycles now);
-    void warmDataMissWbState(Addr paddr, Cycles now);
-    cache::TagStore::Ref warmRefillL1D(Addr paddr, Cycles now);
-
     cache::TagStore &l2Store(bool is_inst);
+    template <Mode M>
     L2Result l2Access(bool is_inst, Addr paddr, Cycles now,
                       unsigned fetch_words);
     Cycles extraTransferCycles(unsigned fetch_words) const;
-    Cycles dataMissWriteBufferWait(Addr paddr, Cycles now);
+    template <Mode M>
+    void dataMissWriteBufferWait(Addr paddr, Cycles now,
+                                 Cycles &stall);
     void applyWriteToL2(Addr paddr);
+    template <Mode M>
     cache::TagStore::Ref refillL1D(Addr paddr, Cycles now,
                                    Cycles &stall);
 
@@ -284,7 +290,7 @@ class CacheSystem
 // pushes happen in exactly the order of the original monolithic
 // ifetch/load/store; the golden byte-identity harness depends on it.
 
-template <class Spec>
+template <class Spec, Mode M>
 Cycles
 CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
 {
@@ -292,10 +298,8 @@ CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
     const auto tr = mmuUnit.translateInst(pid, vaddr);
 
     Cycles stall = 0;
-    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]] {
-        stall += cfg.mmu.tlbMissPenalty;
-        comp.tlb += cfg.mmu.tlbMissPenalty;
-    }
+    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]]
+        charge<M>(stall, comp.tlb, cfg.mmu.tlbMissPenalty);
 
     const cache::TagStore::LineIndex idx =
         l1Lookup<Spec>(l1i, tr.paddr);
@@ -303,10 +307,10 @@ CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
         l1Touch<Spec>(l1i, idx);
         return stall;
     }
-    return ifetchMiss(now, stall, tr.paddr);
+    return ifetchMiss<M>(now, stall, tr.paddr);
 }
 
-template <class Spec>
+template <class Spec, Mode M>
 Cycles
 CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
 {
@@ -314,10 +318,8 @@ CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
     const auto tr = mmuUnit.translateData(pid, vaddr);
 
     Cycles stall = 0;
-    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]] {
-        stall += cfg.mmu.tlbMissPenalty;
-        comp.tlb += cfg.mmu.tlbMissPenalty;
-    }
+    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]]
+        charge<M>(stall, comp.tlb, cfg.mmu.tlbMissPenalty);
 
     WritePolicy wp;
     if constexpr (Spec::specialized)
@@ -336,10 +338,10 @@ CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
         l1Touch<Spec>(l1d, idx);
         return stall;
     }
-    return loadMiss(now, stall, tr.paddr, idx);
+    return loadMiss<M>(now, stall, tr.paddr, idx);
 }
 
-template <class Spec>
+template <class Spec, Mode M>
 Cycles
 CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
                     bool partial_word)
@@ -348,10 +350,8 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
     const auto tr = mmuUnit.translateData(pid, vaddr);
 
     Cycles stall = 0;
-    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]] {
-        stall += cfg.mmu.tlbMissPenalty;
-        comp.tlb += cfg.mmu.tlbMissPenalty;
-    }
+    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]]
+        charge<M>(stall, comp.tlb, cfg.mmu.tlbMissPenalty);
 
     WritePolicy wp;
     if constexpr (Spec::specialized)
@@ -366,21 +366,19 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
         if (idx != cache::TagStore::npos) [[likely]] {
             // Write hits take two cycles: the tag is checked before
             // the write commits (Section 2).
-            stall += 1;
-            comp.l1Writes += 1;
+            charge<M>(stall, comp.l1Writes, 1);
             l1d.setDirtyAt(idx, true);
             l1Touch<Spec>(l1d, idx);
             return stall;
         }
-        return storeMissWriteBack(now, stall, tr.paddr);
+        return storeMissWriteBack<M>(now, stall, tr.paddr);
     }
 
     // Write-through family: every write enters the write buffer and
     // is applied to L2 when it drains.
     {
         const Cycles wait = wb.push(now + stall, tr.paddr);
-        stall += wait;
-        comp.wbWait += wait;
+        charge<M>(stall, comp.wbWait, wait);
         applyWriteToL2(tr.paddr);
     }
 
@@ -392,7 +390,7 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
             l1d.setDirtyAt(idx, true);
             return stall;
         }
-        return storeMissInvalidate(stall, tr.paddr);
+        return storeMissInvalidate<M>(stall, tr.paddr);
 
       case WritePolicy::WriteOnly:
         if (idx != cache::TagStore::npos) [[likely]] {
@@ -402,7 +400,7 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
             l1d.setDirtyAt(idx, true);
             return stall;
         }
-        return storeMissWriteOnly(stall, tr.paddr);
+        return storeMissWriteOnly<M>(stall, tr.paddr);
 
       case WritePolicy::SubblockPlacement:
         if (idx != cache::TagStore::npos) [[likely]] {
@@ -414,118 +412,7 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
                 l1d.orMaskAt(idx, l1d.wordBit(tr.paddr));
             return stall;
         }
-        return storeMissSubblock(stall, tr.paddr, partial_word);
-
-      case WritePolicy::WriteBack:
-        break; // handled above
-    }
-    gaas_panic("unreachable write policy");
-}
-
-// The warm twins.  Each repeats its detailed path's control flow with
-// the cycle arithmetic and CPI attribution deleted; a state mutation
-// here without a counterpart above (or vice versa) is a bug.
-
-template <class Spec>
-void
-CacheSystem::warmIfetchT(Cycles now, Pid pid, Addr vaddr)
-{
-    const auto tr = mmuUnit.translateInst(pid, vaddr);
-    const cache::TagStore::LineIndex idx =
-        l1Lookup<Spec>(l1i, tr.paddr);
-    if (idx != cache::TagStore::npos) [[likely]] {
-        l1Touch<Spec>(l1i, idx);
-        return;
-    }
-    warmIfetchMiss(now, tr.paddr);
-}
-
-template <class Spec>
-void
-CacheSystem::warmLoadT(Cycles now, Pid pid, Addr vaddr)
-{
-    const auto tr = mmuUnit.translateData(pid, vaddr);
-
-    WritePolicy wp;
-    if constexpr (Spec::specialized)
-        wp = Spec::policy;
-    else
-        wp = cfg.writePolicy;
-
-    const cache::TagStore::LineIndex idx =
-        l1Lookup<Spec>(l1d, tr.paddr);
-    bool usable = idx != cache::TagStore::npos &&
-                  !(l1d.stateAt(idx) & cache::TagStore::kWriteOnlyBit);
-    if (wp == WritePolicy::SubblockPlacement && usable)
-        usable = (l1d.maskAt(idx) & l1d.wordBit(tr.paddr)) != 0;
-
-    if (usable) [[likely]] {
-        l1Touch<Spec>(l1d, idx);
-        return;
-    }
-    warmLoadMiss(now, tr.paddr);
-}
-
-template <class Spec>
-void
-CacheSystem::warmStoreT(Cycles now, Pid pid, Addr vaddr,
-                        bool partial_word)
-{
-    const auto tr = mmuUnit.translateData(pid, vaddr);
-
-    WritePolicy wp;
-    if constexpr (Spec::specialized)
-        wp = Spec::policy;
-    else
-        wp = cfg.writePolicy;
-
-    const cache::TagStore::LineIndex idx =
-        l1Lookup<Spec>(l1d, tr.paddr);
-
-    if (wp == WritePolicy::WriteBack) {
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1d.setDirtyAt(idx, true);
-            l1Touch<Spec>(l1d, idx);
-            return;
-        }
-        warmStoreMissWriteBack(now, tr.paddr);
-        return;
-    }
-
-    // Write-through family: the buffer entry and the L2 write-state
-    // update happen regardless of hit or miss, as in storeT.
-    wb.push(now, tr.paddr);
-    applyWriteToL2(tr.paddr);
-
-    switch (wp) {
-      case WritePolicy::WriteMissInvalidate:
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1Touch<Spec>(l1d, idx);
-            l1d.setDirtyAt(idx, true);
-            return;
-        }
-        warmStoreMissInvalidate(tr.paddr);
-        return;
-
-      case WritePolicy::WriteOnly:
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1Touch<Spec>(l1d, idx);
-            l1d.setDirtyAt(idx, true);
-            return;
-        }
-        warmStoreMissWriteOnly(tr.paddr);
-        return;
-
-      case WritePolicy::SubblockPlacement:
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1Touch<Spec>(l1d, idx);
-            l1d.setDirtyAt(idx, true);
-            if (!partial_word)
-                l1d.orMaskAt(idx, l1d.wordBit(tr.paddr));
-            return;
-        }
-        warmStoreMissSubblock(tr.paddr, partial_word);
-        return;
+        return storeMissSubblock<M>(stall, tr.paddr, partial_word);
 
       case WritePolicy::WriteBack:
         break; // handled above

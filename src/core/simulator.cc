@@ -1,7 +1,5 @@
 #include "simulator.hh"
 
-#include <cstdlib>
-
 #include "obs/metrics.hh"
 #include "trace/packed.hh"
 #include "util/error.hh"
@@ -9,19 +7,6 @@
 
 namespace gaas::core
 {
-
-namespace
-{
-
-/** GAAS_SIM_GENERIC=1 forces the generic access path everywhere. */
-bool
-envForcesGeneric()
-{
-    const char *v = std::getenv("GAAS_SIM_GENERIC");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-} // namespace
 
 Simulator::Simulator(const SystemConfig &config, Workload workload)
     : cfg(config), sys(config)
@@ -39,20 +24,15 @@ Simulator::Simulator(const SystemConfig &config, Workload workload)
     alive = procs.size();
     sliceEnd = cfg.timeSliceCycles;
 
-    forceGeneric = envForcesGeneric();
-    const LoopFns fns = pickLoop();
-    loopFn = fns.detail;
-    warmFn = fns.warm;
+    loops = pickLoop();
     prefetchStoreL2 = isWriteThrough(cfg.writePolicy);
 }
 
 void
 Simulator::setForceGenericPath(bool force)
 {
-    forceGeneric = force || envForcesGeneric();
-    const LoopFns fns = pickLoop();
-    loopFn = fns.detail;
-    warmFn = fns.warm;
+    forceGeneric = force;
+    loops = pickLoop();
 }
 
 Simulator::LoopFns
@@ -147,7 +127,7 @@ Simulator::refill(ProcState &p)
     return p.bufLen > 0;
 }
 
-template <class Spec>
+template <class Spec, Mode M>
 bool
 Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
                            bool &syscall)
@@ -185,12 +165,16 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
     }
 
     // Base cost: one cycle plus this benchmark's CPU stalls (loads,
-    // branch delays, multi-cycle FP).
+    // branch delays, multi-cycle FP).  The base cycles keep the
+    // clock moving in warm mode too, so write-buffer completion
+    // times and the scheduler stay meaningful; the memory system
+    // then adds nothing (a warm access returns 0).
     const Cycles stall_cycles = p.stallAcc.tick();
-    cpuStallCycles += stall_cycles;
+    if constexpr (M == Mode::Detail)
+        cpuStallCycles += stall_cycles;
     cycles = 1 + stall_cycles;
 
-    cycles += sys.ifetchT<Spec>(now, p.proc.pid, iaddr);
+    cycles += sys.ifetchT<Spec, M>(now, p.proc.pid, iaddr);
 
     // At most one data reference belongs to this instruction (it may
     // sit in the next batch; a failed refill leaves the buffer empty
@@ -205,10 +189,10 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
                 ++p.bufPos;
                 const Addr daddr = trace::packed::addrOf(w);
                 if (kind == trace::RefKind::Load) {
-                    cycles += sys.loadT<Spec>(now + cycles,
-                                              p.proc.pid, daddr);
+                    cycles += sys.loadT<Spec, M>(now + cycles,
+                                                 p.proc.pid, daddr);
                 } else {
-                    cycles += sys.storeT<Spec>(
+                    cycles += sys.storeT<Spec, M>(
                         now + cycles, p.proc.pid, daddr,
                         trace::packed::flagOf(w));
                 }
@@ -218,10 +202,10 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
             if (dref.isData()) {
                 ++p.bufPos;
                 if (dref.isLoad()) {
-                    cycles += sys.loadT<Spec>(now + cycles,
-                                              p.proc.pid, dref.addr);
+                    cycles += sys.loadT<Spec, M>(
+                        now + cycles, p.proc.pid, dref.addr);
                 } else {
-                    cycles += sys.storeT<Spec>(
+                    cycles += sys.storeT<Spec, M>(
                         now + cycles, p.proc.pid, dref.addr,
                         dref.partialWord);
                 }
@@ -236,13 +220,17 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
 void
 Simulator::runLoop(Count n)
 {
-    (this->*loopFn)(n);
+    (this->*loops.detail)(n);
 }
 
-template <class Spec>
+template <class Spec, Mode M>
 void
 Simulator::runLoopT(Count n)
 {
+    // Warm mode keeps the scheduler -- processes still interleave on
+    // slices and syscalls, so the warmed hierarchy sees the
+    // interleaving the measurement will -- and drops the watchdog
+    // and every measured counter.
     auto next_alive = [&](std::size_t from) {
         std::size_t idx = from;
         do {
@@ -260,7 +248,7 @@ Simulator::runLoopT(Count n)
 
         Cycles cycles = 0;
         bool syscall = false;
-        if (!stepInstruction<Spec>(p, now, cycles, syscall)) {
+        if (!stepInstruction<Spec, M>(p, now, cycles, syscall)) {
             // Trace exhausted (non-looping workload): retire the
             // process and hand the CPU to the next one.
             p.alive = false;
@@ -272,145 +260,28 @@ Simulator::runLoopT(Count n)
             continue;
         }
 
-        if (watchdogCycles != 0 && cycles > watchdogCycles)
-            [[unlikely]] {
-            gaas_error(ErrorCode::Watchdog, "config '", cfg.name,
-                       "': one instruction cost ", cycles,
-                       " cycles (watchdog budget ", watchdogCycles,
-                       ")");
+        if constexpr (M == Mode::Detail) {
+            if (watchdogCycles != 0 && cycles > watchdogCycles)
+                [[unlikely]] {
+                gaas_error(ErrorCode::Watchdog, "config '", cfg.name,
+                           "': one instruction cost ", cycles,
+                           " cycles (watchdog budget ",
+                           watchdogCycles, ")");
+            }
+            ++instructions;
         }
 
         now += cycles;
         ++executed;
-        ++instructions;
 
         // A voluntary system call switches immediately; otherwise
         // the process runs out its time slice (Section 3).
         if (syscall || now >= sliceEnd) [[unlikely]] {
-            ++contextSwitches;
-            if (syscall)
-                ++syscallSwitches;
-            if (alive > 1)
-                current = next_alive(current);
-            sliceEnd = now + cfg.timeSliceCycles;
-        }
-    }
-}
-
-template <class Spec>
-bool
-Simulator::stepWarmInstruction(ProcState &p, Cycles now,
-                               Cycles &cycles, bool &syscall)
-{
-    // Structurally stepInstruction with the detailed access calls
-    // swapped for their warm twins: the base cycles still advance
-    // the clock (so write-buffer entry completion times and the
-    // scheduler stay meaningful), but memory-system stalls are
-    // neither computed nor charged.
-    if (p.bufPos == p.bufLen && !refill(p)) [[unlikely]]
-        return false;
-
-    const auto malformed = [&]() [[noreturn]] {
-        gaas_fatal("malformed trace for process ", p.proc.name,
-                   ": data reference without a preceding "
-                   "instruction");
-    };
-
-    Addr iaddr;
-    if (p.packedMode) {
-        const std::uint32_t w = p.pbuffer[p.bufPos++];
-        if (!trace::packed::isInst(w)) [[unlikely]]
-            malformed();
-        iaddr = trace::packed::addrOf(w);
-        syscall = trace::packed::flagOf(w);
-    } else {
-        const trace::MemRef &ref = p.buffer[p.bufPos++];
-        if (!ref.isInst()) [[unlikely]]
-            malformed();
-        iaddr = ref.addr;
-        syscall = ref.syscall;
-    }
-
-    cycles = 1 + p.stallAcc.tick();
-
-    sys.warmIfetchT<Spec>(now, p.proc.pid, iaddr);
-
-    if (p.bufPos == p.bufLen) [[unlikely]]
-        refill(p);
-    if (p.bufPos < p.bufLen) [[likely]] {
-        if (p.packedMode) {
-            const std::uint32_t w = p.pbuffer[p.bufPos];
-            const trace::RefKind kind = trace::packed::kindOf(w);
-            if (kind != trace::RefKind::Inst) {
-                ++p.bufPos;
-                const Addr daddr = trace::packed::addrOf(w);
-                if (kind == trace::RefKind::Load) {
-                    sys.warmLoadT<Spec>(now + cycles, p.proc.pid,
-                                        daddr);
-                } else {
-                    sys.warmStoreT<Spec>(now + cycles, p.proc.pid,
-                                         daddr,
-                                         trace::packed::flagOf(w));
-                }
+            if constexpr (M == Mode::Detail) {
+                ++contextSwitches;
+                if (syscall)
+                    ++syscallSwitches;
             }
-        } else {
-            const trace::MemRef &dref = p.buffer[p.bufPos];
-            if (dref.isData()) {
-                ++p.bufPos;
-                if (dref.isLoad()) {
-                    sys.warmLoadT<Spec>(now + cycles, p.proc.pid,
-                                        dref.addr);
-                } else {
-                    sys.warmStoreT<Spec>(now + cycles, p.proc.pid,
-                                         dref.addr, dref.partialWord);
-                }
-            }
-        }
-    }
-
-    ++p.instructions;
-    return true;
-}
-
-template <class Spec>
-void
-Simulator::warmLoopT(Count n)
-{
-    // runLoopT's scheduler, minus the watchdog and every measured
-    // counter: processes still interleave on slices and syscalls so
-    // the warmed hierarchy sees the interleaving the measurement
-    // will.
-    auto next_alive = [&](std::size_t from) {
-        std::size_t idx = from;
-        do {
-            idx = (idx + 1) % procs.size();
-        } while (!procs[idx].alive);
-        return idx;
-    };
-
-    if (!procs[current].alive && alive > 0)
-        current = next_alive(current);
-
-    Count executed = 0;
-    while (executed < n && alive > 0) {
-        ProcState &p = procs[current];
-
-        Cycles cycles = 0;
-        bool syscall = false;
-        if (!stepWarmInstruction<Spec>(p, now, cycles, syscall)) {
-            p.alive = false;
-            --alive;
-            if (alive == 0)
-                break;
-            current = next_alive(current);
-            sliceEnd = now + cfg.timeSliceCycles;
-            continue;
-        }
-
-        now += cycles;
-        ++executed;
-
-        if (syscall || now >= sliceEnd) [[unlikely]] {
             if (alive > 1)
                 current = next_alive(current);
             sliceEnd = now + cfg.timeSliceCycles;
@@ -421,7 +292,7 @@ Simulator::warmLoopT(Count n)
 void
 Simulator::runWarm(Count instructions_)
 {
-    (this->*warmFn)(instructions_);
+    (this->*loops.warm)(instructions_);
 }
 
 void

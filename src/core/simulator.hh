@@ -49,8 +49,8 @@ class Simulator
      * The sampling controller drives the machine through its
      * interval schedule with these three: fastForward() seeks each
      * process's trace past a gap without simulating it,
-     * runWarm() executes instructions through the functional-warming
-     * access paths (hierarchy state evolves, no loss accounting),
+     * runWarm() executes instructions through the simulate loop in
+     * Mode::Warm (hierarchy state evolves, no loss accounting),
      * and resetMeasurement() starts a measurement interval, whose
      * counters the next run(n, 0) call then reports.
      */
@@ -65,7 +65,7 @@ class Simulator
     void fastForward(const std::vector<Count> &per_process_refs);
 
     /** Advance the machine by up to @p instructions through the
-     *  functional-warming paths (same scheduler, no stats). */
+     *  simulate loop in Mode::Warm (same scheduler, no stats). */
     void runWarm(Count instructions);
 
     /**
@@ -94,8 +94,7 @@ class Simulator
      * the compile-time specialized simulate loop the configuration
      * would normally select.  The two paths are bit-identical by
      * construction; the equivalence tests prove it through this
-     * switch.  Honoured from the environment too: set
-     * GAAS_SIM_GENERIC=1 to force the generic path process-wide.
+     * switch.
      */
     void setForceGenericPath(bool force);
 
@@ -152,34 +151,25 @@ class Simulator
 
     /**
      * Execute one instruction of @p p at time @p now, through the
-     * access path selected by @p Spec.
+     * access path selected by @p Spec in mode @p M (Mode::Warm:
+     * state updates only, base cycles keep the clock moving).
      *
      * @param cycles   filled with the instruction's total cycles
      * @param syscall  true if the instruction was a system call
      * @retval false   the process's trace is exhausted
      */
-    template <class Spec>
+    template <class Spec, Mode M>
     bool stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
                          bool &syscall);
-
-    /** stepInstruction through the functional-warming access paths:
-     *  state updates only, base cycles keep the clock moving. */
-    template <class Spec>
-    bool stepWarmInstruction(ProcState &p, Cycles now, Cycles &cycles,
-                             bool &syscall);
 
     /** Advance the scheduler/machine by up to @p n instructions
      *  (dispatches to the runLoopT selected at construction). */
     void runLoop(Count n);
 
-    /** The simulate loop, specialized per access-path spec. */
-    template <class Spec>
+    /** The simulate loop, specialized per access-path spec and
+     *  mode (Mode::Warm: no watchdog, no measured counters). */
+    template <class Spec, Mode M>
     void runLoopT(Count n);
-
-    /** The warming loop: runLoopT's scheduler structure over
-     *  stepWarmInstruction, with no measured counters. */
-    template <class Spec>
-    void warmLoopT(Count n);
 
     using LoopFn = void (Simulator::*)(Count);
 
@@ -194,8 +184,8 @@ class Simulator
     static constexpr LoopFns
     loopFnsFor()
     {
-        return {&Simulator::runLoopT<Spec>,
-                &Simulator::warmLoopT<Spec>};
+        return {&Simulator::runLoopT<Spec, Mode::Detail>,
+                &Simulator::runLoopT<Spec, Mode::Warm>};
     }
 
     /** Select the loop instantiations for the configuration
@@ -221,9 +211,8 @@ class Simulator
 
     /** @name Access-path selection (fixed per configuration) */
     ///@{
-    LoopFn loopFn = nullptr;
-    LoopFn warmFn = nullptr;
-    bool forceGeneric = false; //!< setter or GAAS_SIM_GENERIC
+    LoopFns loops;
+    bool forceGeneric = false; //!< setForceGenericPath()
     bool genericPath = true;   //!< what pickLoop() last chose
     /** Write-through stores probe L2 every time; prefetch those
      *  sets at batch-refill. */

@@ -30,56 +30,6 @@ collect(TraceSource &src, std::size_t limit)
     return out;
 }
 
-LimitSource::LimitSource(std::unique_ptr<TraceSource> inner_,
-                         std::size_t limit_)
-    : inner(std::move(inner_)), limit(limit_)
-{
-    if (!inner)
-        gaas_fatal("LimitSource requires an inner source");
-}
-
-bool
-LimitSource::next(MemRef &ref)
-{
-    if (produced >= limit)
-        return false;
-    if (!inner->next(ref))
-        return false;
-    ++produced;
-    return true;
-}
-
-std::size_t
-LimitSource::nextBatch(MemRef *out, std::size_t n)
-{
-    const std::size_t take = std::min(n, limit - produced);
-    const std::size_t got = inner->nextBatch(out, take);
-    produced += got;
-    return got;
-}
-
-std::size_t
-LimitSource::skip(std::size_t n)
-{
-    const std::size_t take = std::min(n, limit - produced);
-    const std::size_t got = inner->skip(take);
-    produced += got;
-    return got;
-}
-
-void
-LimitSource::reset()
-{
-    inner->reset();
-    produced = 0;
-}
-
-std::string
-LimitSource::name() const
-{
-    return inner->name() + "[:" + std::to_string(limit) + "]";
-}
-
 LoopSource::LoopSource(std::unique_ptr<TraceSource> inner_)
     : inner(std::move(inner_))
 {
@@ -204,73 +154,6 @@ std::string
 LoopSource::name() const
 {
     return inner->name() + "[loop]";
-}
-
-ConcatSource::ConcatSource(
-    std::vector<std::unique_ptr<TraceSource>> parts_)
-    : parts(std::move(parts_))
-{
-    for (const auto &p : parts) {
-        if (!p)
-            gaas_fatal("ConcatSource given a null part");
-    }
-}
-
-bool
-ConcatSource::next(MemRef &ref)
-{
-    while (current < parts.size()) {
-        if (parts[current]->next(ref))
-            return true;
-        ++current;
-    }
-    return false;
-}
-
-std::size_t
-ConcatSource::nextBatch(MemRef *out, std::size_t n)
-{
-    std::size_t produced = 0;
-    while (produced < n && current < parts.size()) {
-        produced +=
-            parts[current]->nextBatch(out + produced, n - produced);
-        if (produced < n)
-            ++current; // this part is exhausted
-    }
-    return produced;
-}
-
-std::size_t
-ConcatSource::skip(std::size_t n)
-{
-    std::size_t done = 0;
-    while (done < n && current < parts.size()) {
-        done += parts[current]->skip(n - done);
-        if (done < n)
-            ++current; // this part is exhausted
-    }
-    return done;
-}
-
-void
-ConcatSource::reset()
-{
-    for (auto &p : parts)
-        p->reset();
-    current = 0;
-}
-
-std::string
-ConcatSource::name() const
-{
-    std::string out = "concat(";
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            out += ',';
-        out += parts[i]->name();
-    }
-    out += ')';
-    return out;
 }
 
 double

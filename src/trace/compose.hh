@@ -1,37 +1,18 @@
 /**
  * @file
- * Composable adapters over TraceSource: truncation, looping,
- * concatenation, and reference-mix accounting.
+ * Composable adapters over TraceSource: looping and
+ * reference-mix accounting.
  */
 
 #ifndef GAAS_TRACE_COMPOSE_HH
 #define GAAS_TRACE_COMPOSE_HH
 
 #include <memory>
-#include <vector>
 
 #include "trace/source.hh"
 
 namespace gaas::trace
 {
-
-/** Truncate an underlying source after a fixed number of records. */
-class LimitSource : public TraceSource
-{
-  public:
-    LimitSource(std::unique_ptr<TraceSource> inner, std::size_t limit);
-
-    bool next(MemRef &ref) override;
-    std::size_t nextBatch(MemRef *out, std::size_t n) override;
-    std::size_t skip(std::size_t n) override;
-    void reset() override;
-    std::string name() const override;
-
-  private:
-    std::unique_ptr<TraceSource> inner;
-    std::size_t limit;
-    std::size_t produced = 0;
-};
 
 /**
  * Restart the underlying source whenever it is exhausted, so a finite
@@ -84,24 +65,6 @@ class LoopSource : public TraceSource
     std::size_t innerPos = 0;
     /** Inner pass length, learned at the first wrap (0 = unknown). */
     std::size_t innerLen = 0;
-};
-
-/** Play several sources back to back. */
-class ConcatSource : public TraceSource
-{
-  public:
-    explicit ConcatSource(
-        std::vector<std::unique_ptr<TraceSource>> parts);
-
-    bool next(MemRef &ref) override;
-    std::size_t nextBatch(MemRef *out, std::size_t n) override;
-    std::size_t skip(std::size_t n) override;
-    void reset() override;
-    std::string name() const override;
-
-  private:
-    std::vector<std::unique_ptr<TraceSource>> parts;
-    std::size_t current = 0;
 };
 
 /** Reference-mix counters gathered by MixSource (Table 1 columns). */

@@ -416,6 +416,22 @@ TEST(CacheSystemConfig, RejectsInconsistentConfigs)
     EXPECT_THROW(CacheSystem{cfg}, FatalError);
 }
 
+} // namespace
+
+/**
+ * Print a preset by name.  gtest's default byte dump of a
+ * SystemConfig embeds heap addresses, which made the listed test
+ * names differ from one build to the next.
+ */
+void
+PrintTo(const SystemConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
+namespace
+{
+
 /** All presets must construct and describe themselves. */
 class PresetTest : public ::testing::TestWithParam<SystemConfig>
 {

@@ -7,12 +7,13 @@
  * driven through both paths across direct-mapped / set-associative
  * L1s and all four write policies, and the full stats dumps are
  * compared byte for byte -- the same contract the golden harness
- * enforces across releases, applied here across code paths.
+ * enforces across releases, applied here across code paths.  The
+ * same holds for functional warming (Mode::Warm), which must also
+ * leave exactly the cache state a detailed run does.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,28 +110,41 @@ constexpr WritePolicy kPolicies[] = {
 TEST(HotCore, SpecializedMatchesGenericOnRandomStreams)
 {
     constexpr std::size_t kInstructions = 8'000;
+    // Detail: a run with warmup.  Warm: functional warming
+    // (Mode::Warm), then a detailed interval that exposes any
+    // divergence in the L1/L2/TLB/write-buffer/memory state the
+    // warming left.
+    const auto drive = [](Simulator &sim, bool warm) {
+        if (!warm)
+            return sim.run(10'000, 2'000);
+        sim.runWarm(6'000);
+        sim.resetMeasurement();
+        return sim.run(6'000, 0);
+    };
     for (const unsigned assoc : {1u, 2u}) {
         for (const WritePolicy policy : kPolicies) {
             for (const std::uint64_t seed : {1ull, 42ull, 9001ull}) {
-                const SystemConfig cfg = configFor(assoc, policy);
+                for (const bool warm : {false, true}) {
+                    const SystemConfig cfg = configFor(assoc, policy);
 
-                Simulator fast(cfg,
-                               randomWorkload(seed, kInstructions));
-                ASSERT_FALSE(fast.usingGenericPath())
-                    << "policy " << writePolicyName(policy)
-                    << " assoc " << assoc
-                    << " should have a specialized loop";
+                    Simulator fast(
+                        cfg, randomWorkload(seed, kInstructions));
+                    ASSERT_FALSE(fast.usingGenericPath())
+                        << "policy " << writePolicyName(policy)
+                        << " assoc " << assoc
+                        << " should have a specialized loop";
 
-                Simulator generic(
-                    cfg, randomWorkload(seed, kInstructions));
-                generic.setForceGenericPath(true);
-                ASSERT_TRUE(generic.usingGenericPath());
+                    Simulator generic(
+                        cfg, randomWorkload(seed, kInstructions));
+                    generic.setForceGenericPath(true);
+                    ASSERT_TRUE(generic.usingGenericPath());
 
-                const auto fastRes = fast.run(10'000, 2'000);
-                const auto genRes = generic.run(10'000, 2'000);
-                EXPECT_EQ(dumpText(fastRes), dumpText(genRes))
-                    << "policy " << writePolicyName(policy)
-                    << " assoc " << assoc << " seed " << seed;
+                    EXPECT_EQ(dumpText(drive(fast, warm)),
+                              dumpText(drive(generic, warm)))
+                        << "policy " << writePolicyName(policy)
+                        << " assoc " << assoc << " seed " << seed
+                        << (warm ? " after warming" : "");
+                }
             }
         }
     }
@@ -165,19 +179,79 @@ TEST(HotCore, MixedGeometryFallsBackToGeneric)
     EXPECT_TRUE(sim.usingGenericPath());
 }
 
-TEST(HotCore, EnvKnobForcesGenericPath)
+/** Every line of @p a and @p b agrees in tag, state and mask. */
+::testing::AssertionResult
+sameLines(const cache::TagStore &a, const cache::TagStore &b)
 {
-    ::setenv("GAAS_SIM_GENERIC", "1", 1);
-    {
-        Simulator sim(configFor(1, WritePolicy::WriteBack),
-                      randomWorkload(3, 1'000));
-        EXPECT_TRUE(sim.usingGenericPath());
+    for (cache::TagStore::LineIndex i = 0; i < a.config().lines();
+         ++i) {
+        if (a.tagAt(i) != b.tagAt(i) || a.stateAt(i) != b.stateAt(i) ||
+            a.maskAt(i) != b.maskAt(i)) {
+            return ::testing::AssertionFailure()
+                   << "line " << i << ": tag " << a.tagAt(i) << "/"
+                   << b.tagAt(i) << " state "
+                   << unsigned{a.stateAt(i)} << "/"
+                   << unsigned{b.stateAt(i)} << " mask "
+                   << a.maskAt(i) << "/" << b.maskAt(i);
+        }
     }
-    ::unsetenv("GAAS_SIM_GENERIC");
-    {
-        Simulator sim(configFor(1, WritePolicy::WriteBack),
-                      randomWorkload(3, 1'000));
-        EXPECT_FALSE(sim.usingGenericPath());
+    return ::testing::AssertionSuccess();
+}
+
+TEST(HotCore, WarmModeLeavesDetailedCacheState)
+{
+    // The contract functional warming rests on: Mode::Warm performs
+    // exactly the detailed path's cache-state mutations.  With one
+    // process the instruction order cannot depend on stall cycles
+    // (a context switch returns to the same process), so warming n
+    // instructions and simulating them in detail must leave every
+    // L1-I, L1-D and L2 line identical, for every write policy and
+    // every load-bypass scheme validate() admits with it.
+    constexpr std::size_t kInstructions = 20'000;
+    constexpr LoadBypass kBypasses[] = {
+        LoadBypass::None,
+        LoadBypass::Associative,
+        LoadBypass::DirtyBit,
+    };
+    for (const unsigned assoc : {1u, 2u}) {
+        for (const WritePolicy policy : kPolicies) {
+            for (const LoadBypass bypass : kBypasses) {
+                if (bypass != LoadBypass::None &&
+                    policy == WritePolicy::WriteBack)
+                    continue;
+                if (bypass == LoadBypass::DirtyBit &&
+                    policy != WritePolicy::WriteOnly)
+                    continue;
+                SystemConfig cfg = configFor(assoc, policy);
+                cfg.loadBypass = bypass;
+                SCOPED_TRACE(std::string("policy ") +
+                             writePolicyName(policy) + " bypass " +
+                             loadBypassName(bypass) + " assoc " +
+                             std::to_string(assoc));
+
+                const auto single = [&] {
+                    Workload wl;
+                    wl.add(std::make_unique<trace::VectorSource>(
+                               "rnd", randomStream(11, kInstructions)),
+                           1.5, "rnd");
+                    return wl;
+                };
+                Simulator warm(cfg, single());
+                Simulator detail(cfg, single());
+                warm.runWarm(kInstructions);
+                detail.run(kInstructions);
+
+                const CacheSystem &w = warm.system();
+                const CacheSystem &d = detail.system();
+                EXPECT_GT(d.l2DataStore().validCount(), 0u);
+                EXPECT_TRUE(sameLines(w.l1iStore(), d.l1iStore()));
+                EXPECT_TRUE(sameLines(w.l1dStore(), d.l1dStore()));
+                EXPECT_TRUE(
+                    sameLines(w.l2InstStore(), d.l2InstStore()));
+                EXPECT_TRUE(
+                    sameLines(w.l2DataStore(), d.l2DataStore()));
+            }
+        }
     }
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Sampled-simulation suite (ctest label: sampling): the Student-t
  * table, the infeasible-budget fallback's byte-identity with a
- * full-detail run, run-to-run determinism, and the headline
+ * full-detail run, run-to-run determinism, the exact sampled
+ * result of two pinned points, and the headline
  * accuracy contract -- on seeded Fig. 6 points the full-detail CPI
  * lies within the sampled run's reported 95% confidence interval.
  */
@@ -94,6 +95,44 @@ TEST(Sampling, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.sampling.cpiMean, b.sampling.cpiMean);
     EXPECT_DOUBLE_EQ(a.sampling.cpiHalfWidth,
                      b.sampling.cpiHalfWidth);
+}
+
+/**
+ * The exact sampled result of two seeded Fig. 6 points, pinned as
+ * hex-float literals.  DeterministicAcrossRuns only compares a run
+ * with itself; this pin fails on any drift of the functional-warming
+ * path, the episode schedule or the estimator.  The values were
+ * recorded before functional warming became a Mode of the detailed
+ * access path.
+ */
+TEST(Sampling, PinnedResultsOnFig6Points)
+{
+    struct Pin
+    {
+        SystemConfig cfg;
+        double cpi;
+        double halfWidth;
+        Count intervals;
+    };
+    const Pin pins[] = {
+        {fig6Point(32 * 1024, L2Org::Unified, 1, 6),
+         0x1.9f03bf56f7a9dp+0, 0x1.54a0c4b525202p-4, 24},
+        {fig6Point(512 * 1024, L2Org::Unified, 2, 7),
+         0x1.85807b684c877p+0, 0x1.0a29db45c2b92p-4, 24},
+    };
+    SamplingConfig plan;
+    plan.enabled = true;
+
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(
+            std::to_string(pin.cfg.l2.cache.sizeWords / 1024) +
+            "KW L2");
+        const SimResult s =
+            runSampled(pin.cfg, plan, 4'000'000, 8, 2'000'000);
+        EXPECT_EQ(s.sampling.intervals, pin.intervals);
+        EXPECT_EQ(s.sampling.cpiMean, pin.cpi);
+        EXPECT_EQ(s.sampling.cpiHalfWidth, pin.halfWidth);
+    }
 }
 
 /**

@@ -59,16 +59,6 @@ TEST(VectorSource, PlaysBackAndResets)
     EXPECT_EQ(second, sampleTrace());
 }
 
-TEST(LimitSource, Truncates)
-{
-    auto inner =
-        std::make_unique<VectorSource>("sample", sampleTrace());
-    LimitSource limited(std::move(inner), 3);
-    EXPECT_EQ(collect(limited, 100).size(), 3u);
-    limited.reset();
-    EXPECT_EQ(collect(limited, 100).size(), 3u);
-}
-
 TEST(LoopSource, WrapsAround)
 {
     auto inner =
@@ -199,22 +189,6 @@ TEST(LoopSource, SkipOnEmptyInnerReturnsZero)
     EXPECT_EQ(looped.skip(5), 0u);
     MemRef ref;
     EXPECT_FALSE(looped.next(ref));
-}
-
-TEST(ConcatSource, PlaysPartsInOrder)
-{
-    std::vector<std::unique_ptr<TraceSource>> parts;
-    parts.push_back(std::make_unique<VectorSource>(
-        "a", std::vector<MemRef>{instRef(1)}));
-    parts.push_back(std::make_unique<VectorSource>(
-        "b", std::vector<MemRef>{instRef(2), instRef(3)}));
-    ConcatSource cat(std::move(parts));
-    auto refs = collect(cat, 100);
-    ASSERT_EQ(refs.size(), 3u);
-    EXPECT_EQ(refs[0].addr, 1u);
-    EXPECT_EQ(refs[2].addr, 3u);
-    cat.reset();
-    EXPECT_EQ(collect(cat, 100).size(), 3u);
 }
 
 TEST(MixSource, CountsKinds)
