@@ -1,5 +1,7 @@
 #include "workload.hh"
 
+#include <algorithm>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -19,30 +21,49 @@ namespace
 {
 
 /**
- * Estimate how many references process @p i of @p specs consumes in
- * a run of @p total_instr instructions.  The scheduler is
- * cycle-driven round robin, so a process's instruction share is
- * proportional to its speed, 1/baseCpi; references per instruction
- * are 1 (Inst) + loadFrac + storeFrac.  30% slack covers scheduling
- * skew and cache-stall imbalance; underestimates only cost a second
- * growth step (grow-on-demand), never correctness.
+ * Acquire the level-@p mp_level standard workload's arena streams,
+ * once each, and materialize each through its share of @p total_instr
+ * (round-robin cycles give process i a 1/baseCpi share; it issues
+ * 1 + loadFrac + storeFrac references per instruction; 30% slack
+ * covers scheduling skew, and an underestimate only costs a second
+ * growth step).  Concurrent callers split the generation: a try-lock
+ * pass, longest stream first, skips streams another thread is
+ * growing, then a blocking pass waits on those.  A thread holds one
+ * growth mutex at a time, so the waits cannot form a cycle.
  */
-std::size_t
-refHint(const std::vector<synth::BenchmarkSpec> &specs,
-        std::size_t i, Count total_instr)
+std::vector<trace::ArenaStream *>
+fillStandardStreams(const std::vector<synth::BenchmarkSpec> &specs,
+                    unsigned mp_level, Count total_instr)
 {
-    if (total_instr == 0)
-        return 0;
     double invSum = 0.0;
     for (const auto &s : specs)
         invSum += 1.0 / s.baseCpi;
-    const auto &spec = specs[i];
-    const double share = (1.0 / spec.baseCpi) / invSum;
-    const double instr =
-        share * static_cast<double>(total_instr);
-    const double refs =
-        instr * (1.0 + spec.loadFrac + spec.storeFrac) * 1.3;
-    return static_cast<std::size_t>(refs);
+    auto &arena = trace::TraceArena::global();
+    std::vector<trace::ArenaStream *> streams;
+    using Fill = std::pair<std::size_t, std::size_t>; // hint, index
+    std::vector<Fill> fills, skipped;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        // Stream = "process i of the level-N workload"; its pass
+        // holds at most one Inst and one data record per instruction.
+        const synth::BenchmarkSpec &spec = specs[i];
+        const std::string key = synth::specDigest(spec) + ":" +
+                                std::to_string(mp_level) + ":" +
+                                std::to_string(i);
+        streams.push_back(arena.acquire(
+            key, 2 * static_cast<std::size_t>(spec.simInstructions), 0,
+            [spec] { return synth::makeBenchmark(spec); }));
+        const double refs = (1.0 / spec.baseCpi) / invSum *
+                            static_cast<double>(total_instr) *
+                            (1.0 + spec.loadFrac + spec.storeFrac) * 1.3;
+        fills.emplace_back(static_cast<std::size_t>(refs), i);
+    }
+    std::sort(fills.rbegin(), fills.rend());
+    for (const auto &[hint, i] : fills)
+        if (!streams[i]->tryEnsure(hint))
+            skipped.emplace_back(hint, i);
+    for (const auto &[hint, i] : skipped)
+        streams[i]->ensure(hint);
+    return streams;
 }
 
 } // namespace
@@ -151,62 +172,41 @@ Workload::standard(unsigned mp_level, Count instr_hint)
     if (!trace::TraceArena::enabledByEnv())
         return fromSpecs(specs);
 
-    // Arena path: each process replays a shared materialized stream
-    // instead of running its own generator.  The key includes the mp
-    // level and stream index so a stream is exactly "process i of the
-    // level-N workload"; LoopSource supplies the same wrap semantics
-    // as the per-process generator path.
+    // Arena path: each process replays a shared materialized stream,
+    // wrapped in LoopSource exactly like a per-process generator.
+    const auto streams = fillStandardStreams(specs, mp_level, instr_hint);
     Workload wl;
-    auto &arena = trace::TraceArena::global();
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const synth::BenchmarkSpec &spec = specs[i];
-        const std::string key = synth::specDigest(spec) + ":" +
-                                std::to_string(mp_level) + ":" +
-                                std::to_string(i);
-        // One Inst plus at most one data record per instruction.
-        const std::size_t bound =
-            2 * static_cast<std::size_t>(spec.simInstructions);
-        trace::ArenaStream *stream = arena.acquire(
-            key, bound, refHint(specs, i, instr_hint),
-            [spec] { return synth::makeBenchmark(spec); });
         auto view = std::make_unique<trace::ArenaSource>(
-            stream, spec.name + "[arena]");
+            streams[i], specs[i].name + "[arena]");
         wl.add(std::make_unique<trace::LoopSource>(std::move(view)),
-               spec.baseCpi, spec.name);
+               specs[i].baseCpi, specs[i].name);
     }
     return wl;
 }
 
-void
+trace::ArenaTally
 Workload::prewarmStandardStreams(unsigned mp_level,
                                  Count instr_hint)
 {
     if (!trace::TraceArena::enabledByEnv() || instr_hint == 0)
-        return;
-    const std::vector<synth::BenchmarkSpec> specs =
-        synth::workloadSpecs(mp_level);
-    auto &arena = trace::TraceArena::global();
-    std::vector<std::thread> generators;
-    generators.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        // Same key/bound/hint derivation as standard() above, so the
-        // prewarmed entries are exactly the ones jobs will acquire.
-        const synth::BenchmarkSpec &spec = specs[i];
-        const std::string key = synth::specDigest(spec) + ":" +
-                                std::to_string(mp_level) + ":" +
-                                std::to_string(i);
-        const std::size_t bound =
-            2 * static_cast<std::size_t>(spec.simInstructions);
-        const std::size_t want = refHint(specs, i, instr_hint);
-        generators.emplace_back([&arena, key, bound, want, spec] {
-            arena
-                .acquire(key, bound, 0,
-                         [spec] { return synth::makeBenchmark(spec); })
-                ->ensure(want);
-        });
+        return {};
+    const auto specs = synth::workloadSpecs(mp_level);
+    const std::size_t nthreads = std::clamp<std::size_t>(
+        std::thread::hardware_concurrency(), 1, specs.size());
+    // A future rethrows its filler's exception and joins its thread.
+    std::vector<std::future<trace::ArenaTally>> fillers;
+    for (std::size_t t = 0; t < nthreads; ++t) {
+        fillers.push_back(std::async(std::launch::async, [&] {
+            trace::TraceArena::resetThreadTally();
+            fillStandardStreams(specs, mp_level, instr_hint);
+            return trace::TraceArena::threadTally();
+        }));
     }
-    for (auto &t : generators)
-        t.join();
+    trace::ArenaTally total;
+    for (auto &filler : fillers)
+        total += filler.get();
+    return total;
 }
 
 void

@@ -16,6 +16,11 @@
 #include "trace/source.hh"
 #include "util/types.hh"
 
+namespace gaas::trace
+{
+struct ArenaTally;
+} // namespace gaas::trace
+
 namespace gaas::core
 {
 
@@ -60,7 +65,10 @@ class Workload
      * TraceArena, so a sweep materializes each benchmark's reference
      * stream once instead of re-running the generators per point;
      * `GAAS_BENCH_ARENA=0` restores per-process generators.  Either
-     * way the streams are bit-identical.
+     * way the streams are bit-identical.  Sweep workers that build
+     * the same cold workload together split its generation: each
+     * grows whichever streams no other worker is growing, longest
+     * first, and then waits for the rest.
      *
      * @param instr_hint the run's total instruction budget (warmup
      *        included), used to pre-size arena streams so the first
@@ -100,15 +108,20 @@ class Workload
 
     /**
      * Materialize the arena streams standard(@p mp_level, ...)
-     * would replay, through @p instr_hint total instructions, one
-     * generator thread per stream -- all joined before returning,
-     * so the caller may fork() immediately afterwards (the
+     * would replay, through @p instr_hint total instructions, by
+     * running standard()'s cooperative fill on min(streams,
+     * hardware threads) threads -- all joined before returning, so
+     * the caller may fork() immediately afterwards (the
      * multi-process sweep executor prewarms here so its workers
      * inherit the streams copy-on-write instead of regenerating
      * them per process).  A no-op when the arena is disabled.
+     *
+     * @return the fill threads' arena tallies, summed (each thread
+     *         acquires every stream, so all but the first
+     *         acquisition of a stream count as reuse)
      */
-    static void prewarmStandardStreams(unsigned mp_level,
-                                       Count instr_hint);
+    static trace::ArenaTally prewarmStandardStreams(unsigned mp_level,
+                                                    Count instr_hint);
 
     /** Add one process (PID = current process count). */
     void add(std::unique_ptr<trace::TraceSource> source,

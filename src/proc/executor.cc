@@ -157,8 +157,9 @@ class ScopedSigpipeIgnore
 
 /** Generate the arena streams the ladder's standard workloads will
  *  replay, before any fork, so workers inherit them copy-on-write.
- *  One prewarm per distinct mp level, sized to the largest budget. */
-void
+ *  One prewarm per distinct mp level, sized to the largest budget;
+ *  returns the prewarm threads' summed arena tallies. */
+trace::ArenaTally
 prewarmArena(const std::vector<core::SweepJob> &jobs,
              const std::vector<const core::JournalRecord *> &reuse)
 {
@@ -176,8 +177,10 @@ prewarmArena(const std::vector<core::SweepJob> &jobs,
         else
             it->second = std::max(it->second, hint);
     }
+    trace::ArenaTally tally;
     for (const auto &[mp, hint] : levels)
-        core::Workload::prewarmStandardStreams(mp, hint);
+        tally += core::Workload::prewarmStandardStreams(mp, hint);
+    return tally;
 }
 
 } // namespace
@@ -220,9 +223,7 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
         }
     }
 
-    trace::TraceArena::resetThreadTally();
-    prewarmArena(jobs, reuse);
-    const trace::ArenaTally prewarm = trace::TraceArena::threadTally();
+    const trace::ArenaTally prewarm = prewarmArena(jobs, reuse);
 
     ScopedSigpipeIgnore sigpipe;
 

@@ -18,20 +18,37 @@ namespace
 {
 
 /**
- * Pack @p ref for arena storage (see trace/packed.hh for the
- * layout), rejecting records the 4-byte format cannot represent.
+ * Pack @p n records into @p out for arena storage (see
+ * trace/packed.hh for the layout).  Returns false if any record does
+ * not fit the 4-byte format, and the words written are then
+ * meaningless: one verdict for the whole run, so the loop carries no
+ * per-record error path.
  */
-std::uint32_t
-packRef(const MemRef &ref)
+bool
+packRun(const MemRef *refs, std::size_t n, std::uint32_t *out)
 {
-    if (!packed::packable(ref)) {
-        gaas_error(ErrorCode::Internal,
-                   "trace arena cannot pack reference (addr 0x",
-                   ref.addr, ", kind ", refKindName(ref.kind),
-                   "); only word-aligned sub-2^31 streams are "
-                   "arena-able -- set GAAS_BENCH_ARENA=0");
+    bool ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+        ok &= packed::packable(refs[i]);
+        out[i] = packed::pack(refs[i]);
     }
-    return packed::pack(ref);
+    return ok;
+}
+
+/** Reject the first unpackable record of @p refs[0, n), which sits
+ *  @p pos references into stream @p key. */
+[[noreturn]] void
+rejectUnpackable(const std::string &key, std::size_t pos,
+                 const MemRef *refs, std::size_t n)
+{
+    const MemRef *bad =
+        std::find_if_not(refs, refs + n, packed::packable);
+    gaas_error(ErrorCode::Internal, "trace arena cannot pack reference ",
+               pos + static_cast<std::size_t>(bad - refs),
+               " of stream '", key, "' (addr 0x", std::hex, bad->addr,
+               std::dec, ", kind ", refKindName(bad->kind),
+               "); only word-aligned sub-2^31 streams are "
+               "arena-able -- set GAAS_BENCH_ARENA=0");
 }
 
 constexpr std::size_t kUnknownPassLen =
@@ -99,9 +116,11 @@ ArenaStream::bytes() const
 void
 ArenaStream::append(const MemRef *refs, std::size_t n)
 {
-    std::size_t pos = total;
-    for (std::size_t i = 0; i < n; ++i, ++pos) {
-        const std::size_t block = pos / kBlockRefs;
+    // Pack block-sized runs: one slot lookup and one packability
+    // verdict per run instead of per reference.
+    while (n > 0) {
+        const std::size_t block = total / kBlockRefs;
+        const std::size_t off = total % kBlockRefs;
         if (block >= blockCount) {
             gaas_error(ErrorCode::Internal, "trace arena stream '",
                        streamKey, "' exceeded its pass bound of ",
@@ -116,23 +135,43 @@ ArenaStream::append(const MemRef *refs, std::size_t n)
                 kBlockRefs * sizeof(std::uint32_t),
                 std::memory_order_relaxed);
         }
-        data[pos % kBlockRefs] = packRef(refs[i]);
+        const std::size_t run = std::min(n, kBlockRefs - off);
+        if (!packRun(refs, run, data + off))
+            rejectUnpackable(streamKey, total, refs, run);
+        refs += run;
+        n -= run;
+        total += run;
     }
-    total += n;
 }
 
 void
 ArenaStream::ensure(std::size_t want)
 {
+    grow(want, true);
+}
+
+bool
+ArenaStream::tryEnsure(std::size_t want)
+{
+    return grow(want, false);
+}
+
+bool
+ArenaStream::grow(std::size_t want, bool wait)
+{
     want = std::min(want, passRefBound);
     if (published.load(std::memory_order_acquire) >= want)
-        return;
+        return true;
     if (passLen.load(std::memory_order_acquire) != kUnknownPassLen)
-        return;
+        return true;
 
-    std::lock_guard<std::mutex> lock(growMutex);
+    std::unique_lock<std::mutex> lock(growMutex, std::defer_lock);
+    if (wait)
+        lock.lock();
+    else if (!lock.try_lock())
+        return false;
     if (done || total >= want)
-        return;
+        return true;
 
     const auto start = std::chrono::steady_clock::now();
     if (!generatorMade) {
@@ -190,6 +229,7 @@ ArenaStream::ensure(std::size_t want)
         std::memory_order_relaxed);
     threadTallySlice.refsGenerated += generated;
     threadTallySlice.genSeconds += seconds;
+    return true;
 }
 
 std::size_t

@@ -56,6 +56,16 @@ struct ArenaTally
 
     /** Host seconds spent inside generators (growth included). */
     double genSeconds = 0.0;
+
+    ArenaTally &
+    operator+=(const ArenaTally &other)
+    {
+        streamsGenerated += other.streamsGenerated;
+        streamsReused += other.streamsReused;
+        refsGenerated += other.refsGenerated;
+        genSeconds += other.genSeconds;
+        return *this;
+    }
 };
 
 /**
@@ -66,6 +76,9 @@ struct ArenaTally
 class ArenaStream
 {
   public:
+    /** Packed references per block (1 MiB of 4-byte records). */
+    static constexpr std::size_t kBlockRefs = std::size_t{1} << 18;
+
     /**
      * @param key            the arena key (diagnostics)
      * @param pass_ref_bound exact upper bound on the records one
@@ -90,6 +103,15 @@ class ArenaStream
      * chunk (so tight read loops do not ping the mutex per batch).
      */
     void ensure(std::size_t want);
+
+    /**
+     * ensure(), unless another thread holds the growth mutex: then
+     * return false at once instead of waiting for it.  Returns true
+     * once the references are published (or the pass ended).  Lets
+     * several threads that need the same set of streams split the
+     * generation between them (core::Workload::standard).
+     */
+    bool tryEnsure(std::size_t want);
 
     /**
      * Copy up to @p n unpacked records starting at @p pos into
@@ -120,12 +142,13 @@ class ArenaStream
     const std::string &key() const { return streamKey; }
 
   private:
-    /** Packed references per block (1 MiB of 4-byte records). */
-    static constexpr std::size_t kBlockRefs = std::size_t{1} << 18;
-
     /** Smallest growth chunk, so short runs do not generate one
      *  simulator batch per mutex acquisition. */
     static constexpr std::size_t kMinChunk = std::size_t{1} << 16;
+
+    /** The body of ensure()/tryEnsure(); @p wait selects a
+     *  blocking or a try-lock acquisition of the growth mutex. */
+    bool grow(std::size_t want, bool wait);
 
     /** Append @p n records to the blocks (growth mutex held). */
     void append(const MemRef *refs, std::size_t n);

@@ -3,13 +3,17 @@
  * Tests for the shared trace arena: packed replay is bit-identical
  * to running the generators fresh (per stream and end-to-end across
  * mp levels), concurrent first-touch growth is safe (exercised under
- * TSan), the high-water mark makes second jobs generation-free, and
- * GAAS_BENCH_ARENA=0 restores the per-job generator path.
+ * TSan), tryEnsure never waits on another thread's growth, workers
+ * that build one workload together split its generation, records the
+ * packed layout cannot hold are rejected, the high-water mark makes
+ * second jobs generation-free, and GAAS_BENCH_ARENA=0 restores the
+ * per-job generator path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +29,7 @@
 #include "trace/arena.hh"
 #include "trace/compose.hh"
 #include "trace/source.hh"
+#include "util/error.hh"
 
 namespace gaas::trace
 {
@@ -210,6 +215,81 @@ TEST(ArenaStream, ConcurrentFirstTouchGrowth)
         EXPECT_EQ(seen[r], expected) << "reader " << r;
 }
 
+TEST(ArenaStream, TryEnsureFailsFastWhileAnotherThreadGrows)
+{
+    // The factory runs under the growth mutex, so a grower parked on
+    // the latch holds the mutex for as long as the test needs.
+    const std::vector<MemRef> records = {instRef(0x0040'0000),
+                                         loadRef(0x1000'0000)};
+    std::latch entered(1), release(1);
+    TraceArena arena;
+    ArenaStream *stream =
+        arena.acquire("busy", records.size(), 0, [&] {
+            entered.count_down();
+            release.wait();
+            return std::make_unique<VectorSource>("busy", records);
+        });
+    std::thread grower([&] { stream->ensure(records.size()); });
+    entered.wait();
+    EXPECT_FALSE(stream->tryEnsure(records.size()));
+    EXPECT_EQ(stream->publishedRefs(), 0u);
+    release.count_down();
+    grower.join();
+
+    // Published references satisfy tryEnsure without the mutex.
+    EXPECT_TRUE(stream->tryEnsure(records.size()));
+    ArenaSource view(stream, "view");
+    EXPECT_EQ(drain(view), records);
+}
+
+TEST(ArenaStream, RejectsUnpackableReferences)
+{
+    // An unaligned or >= 2^31 address cannot be packed.  The bad
+    // record sits mid-block, on the last slot of the first block and
+    // on the first slot of the second, so every case of the
+    // run-at-a-time packing names the exact record.
+    struct Case
+    {
+        std::size_t pos;
+        MemRef bad;
+        const char *addr;
+    };
+    constexpr std::size_t kBlock = ArenaStream::kBlockRefs;
+    const Case cases[] = {
+        {1000, instRef(0x0040'0002), "0x400002"},
+        {kBlock - 1, loadRef(0x8000'0000), "0x80000000"},
+        {kBlock, storeRef(0x1000'0001), "0x10000001"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.pos);
+        std::vector<MemRef> records;
+        records.reserve(kBlock + 16);
+        for (std::size_t i = 0; i < kBlock + 16; ++i)
+            records.push_back(instRef(0x0040'0000 + 4 * i));
+        records[c.pos] = c.bad;
+
+        TraceArena arena;
+        ArenaStream *stream =
+            arena.acquire("bad", records.size(), 0, [&records] {
+                return std::make_unique<VectorSource>("bad", records);
+            });
+        try {
+            stream->ensure(records.size());
+            ADD_FAILURE() << "unpackable reference was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Internal);
+            const std::string what = e.what();
+            EXPECT_NE(what.find("reference " + std::to_string(c.pos) +
+                                " of stream 'bad'"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(c.addr), std::string::npos) << what;
+        }
+        // Nothing of the failed growth step is published.
+        EXPECT_EQ(stream->publishedRefs(), 0u);
+    }
+}
+
 TEST(ArenaStream, HighWaterMarkMakesSecondReaderFree)
 {
     const synth::BenchmarkSpec spec = smallSpec(20'000);
@@ -275,6 +355,74 @@ TEST(ArenaEndToEnd, SimResultsMatchFreshGeneratorsAcrossMpLevels)
                 core::runStandard(config, 20'000, mp, 5'000));
         }
         EXPECT_EQ(fresh, arena) << "mp level " << mp;
+    }
+}
+
+TEST(ArenaEndToEnd, ConcurrentStandardWorkloadsSplitGeneration)
+{
+    // Four workers build the same cold workload at once (no other
+    // test uses mp level 6).  Each replay must equal fresh
+    // generators, every stream is created exactly once, and the
+    // workers' generation tallies add up to what the arena published.
+    ArenaEnv on(nullptr);
+    constexpr unsigned kMp = 6;
+    constexpr Count kInstr = 60'000;
+    constexpr std::size_t kWorkers = 4;
+    const auto specs = synth::workloadSpecs(kMp);
+    const std::size_t streamsBefore =
+        TraceArena::global().streamCount();
+
+    std::vector<core::Workload> workloads(kWorkers);
+    std::vector<ArenaTally> tallies(kWorkers);
+    std::latch start(kWorkers);
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&, w] {
+            start.arrive_and_wait();
+            workloads[w] = core::Workload::standard(kMp, kInstr);
+            tallies[w] = TraceArena::threadTally();
+        });
+    }
+    for (auto &t : workers)
+        t.join();
+
+    ArenaTally sum;
+    for (const ArenaTally &t : tallies)
+        sum += t;
+    EXPECT_EQ(sum.streamsGenerated, specs.size());
+    EXPECT_EQ(sum.streamsReused, (kWorkers - 1) * specs.size());
+    EXPECT_EQ(TraceArena::global().streamCount(),
+              streamsBefore + specs.size());
+
+    // The streams under Workload::standard's keys.
+    std::size_t published = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string key = synth::specDigest(specs[i]) + ":" +
+                                std::to_string(kMp) + ":" +
+                                std::to_string(i);
+        const ArenaStream *stream = TraceArena::global().acquire(
+            key, 2 * specs[i].simInstructions, 0, [] {
+                return std::unique_ptr<TraceSource>();
+            });
+        EXPECT_GT(stream->publishedRefs(), 0u) << key;
+        published += stream->publishedRefs();
+    }
+    EXPECT_EQ(sum.refsGenerated, published);
+
+    constexpr std::size_t kReplay = 2'000;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+        std::vector<core::Process> procs = workloads[w].take();
+        ASSERT_EQ(procs.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            std::vector<MemRef> expected(kReplay), got(kReplay);
+            auto fresh = synth::makeBenchmark(specs[i]);
+            ASSERT_EQ(fresh->nextBatch(expected.data(), kReplay),
+                      kReplay);
+            ASSERT_EQ(procs[i].source->nextBatch(got.data(), kReplay),
+                      kReplay);
+            EXPECT_EQ(got, expected)
+                << "worker " << w << " stream " << i;
+        }
     }
 }
 

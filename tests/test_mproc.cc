@@ -6,8 +6,9 @@
  * hang costs a requeue (and a respawn), never the run; a job whose
  * workers keep dying degrades to failed:worker-lost after the
  * attempt budget; journal reuse and cooperative cancellation behave
- * exactly as in-process; and the supervision knobs parse from the
- * environment strictly.
+ * exactly as in-process; the supervisor's pre-fork arena fill is
+ * counted in the sweep's arena totals; and the supervision knobs
+ * parse from the environment strictly.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/stats_dump.hh"
 #include "core/sweep.hh"
 #include "proc/executor.hh"
+#include "trace/arena.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 
@@ -115,6 +117,27 @@ TEST(Mproc, ShardingIsBitIdenticalToSerialAtAnyWorkerCount)
             EXPECT_LT(stats.perJob[i].worker, workers);
         }
     }
+}
+
+TEST(Mproc, PrewarmGenerationIsCountedInSweepStats)
+{
+    // mp level 3 is cold in this binary: the supervisor generates
+    // every stream before forking, on its own fill threads, and the
+    // sweep's arena totals must carry that work (the forked workers
+    // replay it and generate nothing).
+    auto jobs = ladder(2);
+    for (SweepJob &job : jobs)
+        job.mpLevel = 3;
+    const trace::ArenaTally before = trace::TraceArena::totals();
+    SweepStats stats;
+    const auto outcomes = runSweepMproc(jobs, fastOptions(2), &stats);
+    const trace::ArenaTally after = trace::TraceArena::totals();
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    EXPECT_EQ(stats.arenaStreamsGenerated, 3u);
+    EXPECT_GT(stats.arenaRefsGenerated, 0u);
+    EXPECT_EQ(stats.arenaRefsGenerated,
+              after.refsGenerated - before.refsGenerated);
+    EXPECT_GT(stats.arenaGenSeconds, 0.0);
 }
 
 TEST(Mproc, ThrowingJobFailsThePointNotTheWorker)
