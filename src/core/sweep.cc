@@ -80,14 +80,24 @@ runSweepJob(const SweepJob &job, SweepJobStats *stats)
     trace::TraceArena::resetThreadTally();
     SimResult result;
     if (job.sampling.enabled && !job.traceFiles.empty()) {
-        // The sampling controller builds standard workloads
-        // internally; wiring trace files through it is future work.
+        // The sampling controller models occupancies from the suite
+        // specs' rates, which a trace file does not carry; wiring
+        // trace files through it is future work.
         gaas_error(ErrorCode::Config,
                    "sampled simulation over trace-file workloads "
                    "is not supported yet (config '",
                    job.config.name, "')");
     }
-    if (job.sampling.enabled && !job.workload) {
+    if (job.sampling.enabled && job.workload) {
+        // Same reason: the controller cannot check that a custom
+        // workload has the suite specs' rates, so it would sample
+        // it under the wrong occupancy model.
+        gaas_error(ErrorCode::Config,
+                   "sampled simulation over a custom workload "
+                   "builder is not supported yet (config '",
+                   job.config.name, "')");
+    }
+    if (job.sampling.enabled) {
         // Sampled point: the controller owns workload construction
         // (one per sizing pass), so the whole thing is sim time.
         obs::ScopedTimer timer(local.simSeconds);

@@ -53,10 +53,12 @@ struct SweepJob
 
     /**
      * Sampled-simulation plan (core/sampling.hh).  Disabled by
-     * default; when enabled (and the job has no custom workload
-     * builder) the point runs through runSampled instead of a
-     * full-detail Simulator::run, and the sampling knobs become
-     * part of the job's journal key.
+     * default; when enabled the point runs through runSampled
+     * instead of a full-detail Simulator::run, and the sampling
+     * knobs become part of the job's journal key.  Mutually
+     * exclusive with traceFiles and with a custom workload
+     * builder (Config error): the controller models occupancies
+     * from the suite specs' rates, which neither can vouch for.
      */
     SamplingConfig sampling;
 
@@ -84,9 +86,10 @@ struct SweepJob
      * Optional workload builder, called on the worker that runs the
      * job.  When empty the standard looping workload at mpLevel is
      * built.  Tests use this to inject finite (exhaustible) traces.
-     * Jobs with a custom builder are opaque to the resume journal
-     * (their key cannot capture the workload), so they are always
-     * re-simulated and never journaled.
+     * Mutually exclusive with sampling (Config error).  Jobs with
+     * a custom builder are opaque to the resume journal (their key
+     * cannot capture the workload), so they are always re-simulated
+     * and never journaled.
      */
     std::function<Workload()> workload;
 };

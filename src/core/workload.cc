@@ -26,10 +26,10 @@ namespace
  * (round-robin cycles give process i a 1/baseCpi share; it issues
  * 1 + loadFrac + storeFrac references per instruction; 30% slack
  * covers scheduling skew, and an underestimate only costs a second
- * growth step).  Concurrent callers split the generation: a try-lock
- * pass, longest stream first, skips streams another thread is
- * growing, then a blocking pass waits on those.  A thread holds one
- * growth mutex at a time, so the waits cannot form a cycle.
+ * growth step).  Concurrent callers split the generation, longest
+ * stream first (acquire skips a stream another thread is growing);
+ * a blocking pass then waits on the streams others grew.  A thread
+ * holds one growth mutex at a time, so waits cannot form a cycle.
  */
 std::vector<trace::ArenaStream *>
 fillStandardStreams(const std::vector<synth::BenchmarkSpec> &specs,
@@ -38,30 +38,29 @@ fillStandardStreams(const std::vector<synth::BenchmarkSpec> &specs,
     double invSum = 0.0;
     for (const auto &s : specs)
         invSum += 1.0 / s.baseCpi;
-    auto &arena = trace::TraceArena::global();
-    std::vector<trace::ArenaStream *> streams;
-    using Fill = std::pair<std::size_t, std::size_t>; // hint, index
-    std::vector<Fill> fills, skipped;
+    std::vector<std::pair<std::size_t, std::size_t>> fills; // hint, i
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        // Stream = "process i of the level-N workload"; its pass
-        // holds at most one Inst and one data record per instruction.
         const synth::BenchmarkSpec &spec = specs[i];
-        const std::string key = synth::specDigest(spec) + ":" +
-                                std::to_string(mp_level) + ":" +
-                                std::to_string(i);
-        streams.push_back(arena.acquire(
-            key, 2 * static_cast<std::size_t>(spec.simInstructions), 0,
-            [spec] { return synth::makeBenchmark(spec); }));
         const double refs = (1.0 / spec.baseCpi) / invSum *
                             static_cast<double>(total_instr) *
                             (1.0 + spec.loadFrac + spec.storeFrac) * 1.3;
         fills.emplace_back(static_cast<std::size_t>(refs), i);
     }
     std::sort(fills.rbegin(), fills.rend());
+    auto &arena = trace::TraceArena::global();
+    std::vector<trace::ArenaStream *> streams(specs.size());
+    for (const auto &[hint, i] : fills) {
+        // Stream = "process i of the level-N workload"; its pass
+        // holds at most one Inst and one data record per instruction.
+        const synth::BenchmarkSpec &spec = specs[i];
+        const std::string key = synth::specDigest(spec) + ":" +
+                                std::to_string(mp_level) + ":" +
+                                std::to_string(i);
+        streams[i] = arena.acquire(
+            key, 2 * static_cast<std::size_t>(spec.simInstructions),
+            hint, [spec] { return synth::makeBenchmark(spec); });
+    }
     for (const auto &[hint, i] : fills)
-        if (!streams[i]->tryEnsure(hint))
-            skipped.emplace_back(hint, i);
-    for (const auto &[hint, i] : skipped)
         streams[i]->ensure(hint);
     return streams;
 }

@@ -86,7 +86,9 @@ class Workload
      * Replay mode:
      *  - @p streaming false (default): each file is decoded once
      *    into the shared TraceArena (keyed by its content digest)
-     *    and replayed zero-copy, like the synthetic streams.  With
+     *    and replayed zero-copy, like the synthetic streams.
+     *    Workers that build it together split the decoding; each
+     *    waits for the files others decode on its first read.  With
      *    the arena disabled (GAAS_BENCH_ARENA=0) each process gets
      *    its own block-at-a-time TraceV3Reader.
      *  - @p streaming true: each process replays through a

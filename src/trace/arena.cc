@@ -343,7 +343,7 @@ TraceArena::acquire(
         ++threadTallySlice.streamsReused;
     }
     if (ref_hint > 0)
-        stream->ensure(ref_hint);
+        stream->tryEnsure(ref_hint);
     return stream;
 }
 

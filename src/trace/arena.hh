@@ -109,7 +109,7 @@ class ArenaStream
      * return false at once instead of waiting for it.  Returns true
      * once the references are published (or the pass ended).  Lets
      * several threads that need the same set of streams split the
-     * generation between them (core::Workload::standard).
+     * generation between them (TraceArena::acquire).
      */
     bool tryEnsure(std::size_t want);
 
@@ -202,10 +202,20 @@ class TraceArena
     static bool enabledByEnv();
 
     /**
-     * Get or create the stream for @p key.  On creation @p ref_hint
-     * references are materialized up front (clamped to the pass
-     * bound); 0 defers all generation to first read.  The returned
-     * pointer stays valid for the arena's lifetime.
+     * Get or create the stream for @p key and try to materialize
+     * @p ref_hint references (clamped to the pass bound) up front,
+     * whether the stream was just created or already cached; 0
+     * defers all generation to first read.  The returned pointer
+     * stays valid for the arena's lifetime.
+     *
+     * The hint is best-effort under contention: if another thread
+     * is growing the stream, acquire returns at once (tryEnsure)
+     * instead of queueing behind it.  Threads that acquire the same
+     * cold streams in turn therefore split the generation -- each
+     * grows whichever stream nobody else is growing -- and a wait,
+     * if any, lands on the first read (ArenaSource grows through
+     * the blocking ensure()).  A caller that needs the references
+     * published before it goes on calls ensure() itself.
      */
     ArenaStream *acquire(
         const std::string &key, std::size_t pass_ref_bound,

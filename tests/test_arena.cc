@@ -3,8 +3,10 @@
  * Tests for the shared trace arena: packed replay is bit-identical
  * to running the generators fresh (per stream and end-to-end across
  * mp levels), concurrent first-touch growth is safe (exercised under
- * TSan), tryEnsure never waits on another thread's growth, workers
- * that build one workload together split its generation, records the
+ * TSan), tryEnsure and acquire never wait on another thread's
+ * growth, threads that acquire the same cold streams -- one at a time
+ * like a seeded builder, through Workload::standard, or through
+ * Workload::fromTraceFiles -- split their generation, records the
  * packed layout cannot hold are rejected, the high-water mark makes
  * second jobs generation-free, and GAAS_BENCH_ARENA=0 restores the
  * per-job generator path.
@@ -12,12 +14,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <future>
 #include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/config.hh"
 #include "core/simulator.hh"
@@ -29,6 +39,7 @@
 #include "trace/arena.hh"
 #include "trace/compose.hh"
 #include "trace/source.hh"
+#include "trace/v3.hh"
 #include "util/error.hh"
 
 namespace gaas::trace
@@ -68,6 +79,67 @@ drain(TraceSource &src)
     while ((got = src.nextBatch(buf, 257)) > 0)
         out.insert(out.end(), buf, buf + got);
     return out;
+}
+
+/** The level-@p mp suite specs with every seed remixed afresh on
+ *  each call, so their keys are cold in the global arena even when
+ *  a test repeats in one process. */
+std::vector<synth::BenchmarkSpec>
+remixedSpecs(unsigned mp)
+{
+    static std::atomic<std::uint64_t> calls{0};
+    const std::uint64_t salt = ++calls * 0x9e37'79b9'7f4a'7c15ull;
+    std::vector<synth::BenchmarkSpec> specs = synth::workloadSpecs(mp);
+    for (auto &spec : specs)
+        spec.seed ^= salt;
+    return specs;
+}
+
+/** The first @p n records of a fresh generator for @p spec. */
+std::vector<MemRef>
+freshPrefix(const synth::BenchmarkSpec &spec, std::size_t n)
+{
+    std::vector<MemRef> out(n);
+    auto fresh = synth::makeBenchmark(spec);
+    out.resize(fresh->nextBatch(out.data(), n));
+    return out;
+}
+
+/** The first @p n records replayed from @p stream. */
+std::vector<MemRef>
+replayPrefix(ArenaStream *stream, std::size_t n)
+{
+    std::vector<MemRef> out(n);
+    ArenaSource view(stream, "view");
+    out.resize(view.nextBatch(out.data(), n));
+    return out;
+}
+
+/**
+ * Acquire stream @p i of @p specs from the global arena the way a
+ * seeded workload builder does (Workload::standard's key and bound),
+ * with size hint @p hint.
+ */
+ArenaStream *
+acquireSpecStream(const std::vector<synth::BenchmarkSpec> &specs,
+                  std::size_t i, std::size_t hint)
+{
+    const synth::BenchmarkSpec &spec = specs[i];
+    const std::string key = synth::specDigest(spec) + ":" +
+                            std::to_string(specs.size()) + ":" +
+                            std::to_string(i);
+    return TraceArena::global().acquire(
+        key, 2 * spec.simInstructions, hint,
+        [spec] { return synth::makeBenchmark(spec); });
+}
+
+/** Wait up to 30 s for @p done; false means it is stuck. */
+template <typename T>
+bool
+finishes(std::future<T> &done)
+{
+    return done.wait_for(std::chrono::seconds(30)) ==
+           std::future_status::ready;
 }
 
 std::string
@@ -242,6 +314,54 @@ TEST(ArenaStream, TryEnsureFailsFastWhileAnotherThreadGrows)
     EXPECT_EQ(drain(view), records);
 }
 
+TEST(TraceArena, AcquireMovesPastAStreamAnotherThreadIsGrowing)
+{
+    // Stream 0's factory parks on the latch while it holds the
+    // stream's growth mutex.  Another thread's in-order acquisition
+    // of all eight streams with a size hint must not wait for it:
+    // it comes back with stream 0 unpublished and streams 1-7
+    // generated, and its first reads replay the fresh generators.
+    ArenaEnv on(nullptr);
+    const auto specs = remixedSpecs(8);
+    constexpr std::size_t kHint = 20'000;
+    std::latch entered(1), release(1);
+    std::thread grower([&] {
+        const synth::BenchmarkSpec spec = specs[0];
+        TraceArena::global().acquire(
+            synth::specDigest(spec) + ":8:0", 2 * spec.simInstructions,
+            kHint, [&, spec] {
+                entered.count_down();
+                release.wait();
+                return synth::makeBenchmark(spec);
+            });
+    });
+    entered.wait();
+    auto builder = std::async(std::launch::async, [&] {
+        std::vector<ArenaStream *> streams;
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            streams.push_back(acquireSpecStream(specs, i, kHint));
+        return streams;
+    });
+    std::vector<ArenaStream *> streams;
+    if (finishes(builder)) {
+        streams = builder.get();
+        EXPECT_EQ(streams[0]->publishedRefs(), 0u);
+        for (std::size_t i = 1; i < specs.size(); ++i)
+            EXPECT_GE(streams[i]->publishedRefs(), kHint) << i;
+    } else {
+        ADD_FAILURE() << "acquire queued behind stream 0's growth";
+    }
+    release.count_down();
+    grower.join();
+    if (streams.empty())
+        streams = builder.get();
+
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(replayPrefix(streams[i], kHint),
+                  freshPrefix(specs[i], kHint))
+            << "stream " << i;
+}
+
 TEST(ArenaStream, RejectsUnpackableReferences)
 {
     // An unaligned or >= 2^31 address cannot be packed.  The bad
@@ -358,28 +478,31 @@ TEST(ArenaEndToEnd, SimResultsMatchFreshGeneratorsAcrossMpLevels)
     }
 }
 
-TEST(ArenaEndToEnd, ConcurrentStandardWorkloadsSplitGeneration)
+/** One worker's replay of a workload's streams, in process order. */
+using Replays = std::vector<std::unique_ptr<TraceSource>>;
+
+/**
+ * Four workers run @p build at once over the cold streams of
+ * @p specs (keyed like Workload::standard).  Each replay must equal
+ * fresh generators, every stream is created exactly once, and the
+ * workers' generation tallies add up to what the arena published.
+ */
+void
+expectSplitGeneration(const std::vector<synth::BenchmarkSpec> &specs,
+                      const std::function<Replays()> &build)
 {
-    // Four workers build the same cold workload at once (no other
-    // test uses mp level 6).  Each replay must equal fresh
-    // generators, every stream is created exactly once, and the
-    // workers' generation tallies add up to what the arena published.
-    ArenaEnv on(nullptr);
-    constexpr unsigned kMp = 6;
-    constexpr Count kInstr = 60'000;
     constexpr std::size_t kWorkers = 4;
-    const auto specs = synth::workloadSpecs(kMp);
     const std::size_t streamsBefore =
         TraceArena::global().streamCount();
 
-    std::vector<core::Workload> workloads(kWorkers);
+    std::vector<Replays> replays(kWorkers);
     std::vector<ArenaTally> tallies(kWorkers);
     std::latch start(kWorkers);
     std::vector<std::thread> workers;
     for (std::size_t w = 0; w < kWorkers; ++w) {
         workers.emplace_back([&, w] {
             start.arrive_and_wait();
-            workloads[w] = core::Workload::standard(kMp, kInstr);
+            replays[w] = build();
             tallies[w] = TraceArena::threadTally();
         });
     }
@@ -394,36 +517,110 @@ TEST(ArenaEndToEnd, ConcurrentStandardWorkloadsSplitGeneration)
     EXPECT_EQ(TraceArena::global().streamCount(),
               streamsBefore + specs.size());
 
-    // The streams under Workload::standard's keys.
     std::size_t published = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const std::string key = synth::specDigest(specs[i]) + ":" +
-                                std::to_string(kMp) + ":" +
-                                std::to_string(i);
-        const ArenaStream *stream = TraceArena::global().acquire(
-            key, 2 * specs[i].simInstructions, 0, [] {
-                return std::unique_ptr<TraceSource>();
-            });
-        EXPECT_GT(stream->publishedRefs(), 0u) << key;
+        const ArenaStream *stream = acquireSpecStream(specs, i, 0);
+        EXPECT_GT(stream->publishedRefs(), 0u) << stream->key();
         published += stream->publishedRefs();
     }
     EXPECT_EQ(sum.refsGenerated, published);
 
     constexpr std::size_t kReplay = 2'000;
     for (std::size_t w = 0; w < kWorkers; ++w) {
-        std::vector<core::Process> procs = workloads[w].take();
-        ASSERT_EQ(procs.size(), specs.size());
+        ASSERT_EQ(replays[w].size(), specs.size());
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            std::vector<MemRef> expected(kReplay), got(kReplay);
-            auto fresh = synth::makeBenchmark(specs[i]);
-            ASSERT_EQ(fresh->nextBatch(expected.data(), kReplay),
-                      kReplay);
-            ASSERT_EQ(procs[i].source->nextBatch(got.data(), kReplay),
-                      kReplay);
-            EXPECT_EQ(got, expected)
+            std::vector<MemRef> got(kReplay);
+            got.resize(replays[w][i]->nextBatch(got.data(), kReplay));
+            EXPECT_EQ(got, freshPrefix(specs[i], kReplay))
                 << "worker " << w << " stream " << i;
         }
     }
+}
+
+TEST(ArenaEndToEnd, ConcurrentStandardWorkloadsSplitGeneration)
+{
+    ArenaEnv on(nullptr);
+    {
+        SCOPED_TRACE("Workload::standard");
+        // No other test uses mp level 6, so its streams are cold.
+        constexpr unsigned kMp = 6;
+        expectSplitGeneration(synth::workloadSpecs(kMp), [] {
+            Replays out;
+            for (core::Process &p :
+                 core::Workload::standard(kMp, 60'000).take())
+                out.push_back(std::move(p.source));
+            return out;
+        });
+    }
+    {
+        SCOPED_TRACE("per-stream acquire");
+        // One stream at a time with a size hint, as a seeded
+        // workload builder does.
+        const auto specs = remixedSpecs(8);
+        expectSplitGeneration(specs, [&specs] {
+            Replays out;
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                out.push_back(std::make_unique<ArenaSource>(
+                    acquireSpecStream(specs, i, 30'000), "replay"));
+            return out;
+        });
+    }
+}
+
+TEST(ArenaEndToEnd, ConcurrentTraceFileWorkloadsDecodeEachFileOnce)
+{
+    // Four threads build the same trace-file workload from four
+    // freshly written v3 files: each file is decoded into the arena
+    // exactly once, and every replay equals the file's own reader.
+    ArenaEnv on(nullptr);
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("gaas_arena_files_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const auto specs = remixedSpecs(4);
+    std::vector<std::string> paths;
+    std::vector<std::vector<MemRef>> expected;
+    std::size_t records = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        synth::BenchmarkSpec spec = specs[i];
+        spec.simInstructions = 20'000;
+        paths.push_back((dir / (std::to_string(i) + ".v3")).string());
+        TraceV3Writer writer(paths.back());
+        writer.writeAll(*synth::makeBenchmark(spec));
+        writer.close();
+        TraceV3Reader reader(paths.back());
+        expected.push_back(drain(reader));
+        records += expected.back().size();
+    }
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<ArenaTally> tallies(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            std::vector<core::Process> procs =
+                core::Workload::fromTraceFiles(paths, false).take();
+            ASSERT_EQ(procs.size(), paths.size());
+            for (std::size_t i = 0; i < paths.size(); ++i) {
+                std::vector<MemRef> got(expected[i].size());
+                got.resize(procs[i].source->nextBatch(got.data(),
+                                                      got.size()));
+                EXPECT_EQ(got, expected[i])
+                    << "thread " << t << " file " << i;
+            }
+            tallies[t] = TraceArena::threadTally();
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    std::filesystem::remove_all(dir);
+
+    ArenaTally sum;
+    for (const ArenaTally &tally : tallies)
+        sum += tally;
+    EXPECT_EQ(sum.streamsGenerated, paths.size());
+    EXPECT_EQ(sum.refsGenerated, records);
 }
 
 TEST(ArenaEndToEnd, SweepJobTelemetryShowsReuse)

@@ -371,5 +371,22 @@ TEST(Sweep, PointStatusNamesRoundTrip)
     EXPECT_FALSE(parsePointStatus("", ignored));
 }
 
+TEST(Sweep, SampledJobRejectsACustomWorkloadBuilder)
+{
+    // The sampling controller models occupancies from the suite
+    // specs' rates, which it cannot check on a builder's workload.
+    SweepJob job;
+    job.config = afterWritePolicy();
+    job.config.name = "sampled";
+    job.mpLevel = 2;
+    job.instructions = 20'000;
+    job.sampling.enabled = true;
+    job.workload = [] { return Workload::standard(2); };
+    const auto outcomes = runSweepOutcomes({job}, 1);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status, PointStatus::Failed);
+    EXPECT_EQ(outcomes[0].errorCode, ErrorCode::Config);
+}
+
 } // namespace
 } // namespace gaas::core
