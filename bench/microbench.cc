@@ -13,14 +13,19 @@
 
 #include <array>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/tag_store.hh"
 #include "core/config.hh"
 #include "core/simulator.hh"
+#include "core/workload.hh"
 #include "mmu/mmu.hh"
+#include "synth/benchmark.hh"
 #include "synth/suite.hh"
 #include "trace/compose.hh"
+#include "trace/packed.hh"
 #include "trace/v3.hh"
 #include "util/random.hh"
 
@@ -144,6 +149,165 @@ BM_MmuTranslate(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MmuTranslate);
+
+/**
+ * A TraceSource wrapper that logs, in pull order, every record the
+ * Simulator takes from one process's source, as (pid, packed word).
+ * The Simulator refills per process in small batches and switches
+ * processes once per time slice, so the log is its reference
+ * schedule to within one batch per switch.
+ */
+class RecordingSource : public trace::TraceSource
+{
+  public:
+    RecordingSource(std::unique_ptr<trace::TraceSource> inner_, Pid pid_,
+                    std::vector<std::pair<Pid, std::uint32_t>> &log_)
+        : inner(std::move(inner_)), pid(pid_), log(log_)
+    {}
+
+    bool
+    next(trace::MemRef &ref) override
+    {
+        return nextBatch(&ref, 1) == 1;
+    }
+
+    std::size_t
+    nextBatch(trace::MemRef *out, std::size_t n) override
+    {
+        const std::size_t got = inner->nextBatch(out, n);
+        for (std::size_t i = 0; i < got; ++i)
+            log.emplace_back(pid, trace::packed::pack(out[i]));
+        return got;
+    }
+
+    std::size_t
+    nextBatchPacked(std::uint32_t *out, std::size_t n) override
+    {
+        const std::size_t got = inner->nextBatchPacked(out, n);
+        if (got != kNoPacked) {
+            for (std::size_t i = 0; i < got; ++i)
+                log.emplace_back(pid, out[i]);
+        }
+        return got;
+    }
+
+    void reset() override { inner->reset(); }
+    std::string name() const override { return inner->name(); }
+
+  private:
+    std::unique_ptr<trace::TraceSource> inner;
+    Pid pid;
+    std::vector<std::pair<Pid, std::uint32_t>> &log;
+};
+
+/**
+ * The reference schedule of the ladder's 256KW unified direct-mapped
+ * point (the traced `ladder` point of the benchmark), recorded from a
+ * short Simulator run over the level-8 workload.
+ */
+const std::vector<std::pair<Pid, std::uint32_t>> &
+ladderSchedule()
+{
+    static const auto schedule = [] {
+        std::vector<std::pair<Pid, std::uint32_t>> log;
+        core::SystemConfig cfg = core::afterWritePolicy();
+        cfg.l2.cache.sizeWords = 256 * 1024;
+        cfg.l2.cache.assoc = 1;
+        cfg.l2.accessTime = 6;
+        core::Workload wl;
+        const auto specs = synth::workloadSpecs(8);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            wl.add(std::make_unique<RecordingSource>(
+                       std::make_unique<trace::LoopSource>(
+                           synth::makeBenchmark(specs[i])),
+                       static_cast<Pid>(i), log),
+                   specs[i].baseCpi, specs[i].name);
+        }
+        core::Simulator sim(cfg, std::move(wl));
+        sim.run(2'000'000);
+        return log;
+    }();
+    return schedule;
+}
+
+/**
+ * Translation as the step loop meets it: the recorded schedule
+ * replayed one instruction per iteration -- the instruction record,
+ * then the next record if it is a data record -- with the I/D kind
+ * branch of Simulator::stepInstruction.  With @p Translate false
+ * the same dispatch runs with no translation (the control), so the
+ * difference is the translation's own cost.  One warming pass fills
+ * the TLBs first, so nearly every translation hits.
+ */
+template <bool Translate>
+void
+mmuDispatchKernel(benchmark::State &state)
+{
+    const auto &schedule = ladderSchedule();
+    mmu::Mmu unit{core::afterWritePolicy().mmu};
+    for (const auto &[pid, word] : schedule) {
+        const Addr vaddr = trace::packed::addrOf(word);
+        benchmark::DoNotOptimize(
+            trace::packed::isInst(word) ? unit.translateInst(pid, vaddr)
+                                        : unit.translateData(pid, vaddr));
+    }
+    const auto fetch = [&](Pid pid, Addr vaddr) {
+        if constexpr (Translate)
+            return unit.translateInst(pid, vaddr).paddr;
+        return vaddr;
+    };
+    const auto data = [&](Pid pid, Addr vaddr) {
+        if constexpr (Translate)
+            return unit.translateData(pid, vaddr).paddr;
+        return vaddr;
+    };
+
+    // A data record is logged right after its instruction record
+    // (the Simulator refills at once to look for it), so every
+    // iteration starts on an instruction record.
+    const std::size_t end = schedule.size() - 1;
+    std::size_t at = 0;
+    Count refs = 0;
+    for (auto _ : state) {
+        const auto [pid, word] = schedule[at];
+        benchmark::DoNotOptimize(fetch(pid, trace::packed::addrOf(word)));
+        ++at;
+        ++refs;
+        const auto [dpid, next] = schedule[at];
+        if (!trace::packed::isInst(next)) {
+            benchmark::DoNotOptimize(
+                data(dpid, trace::packed::addrOf(next)));
+            ++at;
+            ++refs;
+        }
+        if (at >= end)
+            at = 0;
+    }
+    state.counters["s/ref"] = benchmark::Counter(
+        static_cast<double>(refs),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    if constexpr (Translate) {
+        const mmu::TlbStats &i = unit.itlbStats();
+        const mmu::TlbStats &d = unit.dtlbStats();
+        state.counters["tlb_miss_frac"] =
+            static_cast<double>(i.misses + d.misses) /
+            static_cast<double>(i.accesses + d.accesses);
+    }
+}
+
+void
+BM_MmuTranslateHits(benchmark::State &state)
+{
+    mmuDispatchKernel<true>(state);
+}
+BENCHMARK(BM_MmuTranslateHits);
+
+void
+BM_MmuDispatchControl(benchmark::State &state)
+{
+    mmuDispatchKernel<false>(state);
+}
+BENCHMARK(BM_MmuDispatchControl);
 
 /**
  * The exact source composition Workload::standard hands the

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <type_traits>
 
+#include "trace/packed.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::synth
@@ -44,6 +46,7 @@ SyntheticBenchmark::SyntheticBenchmark(BenchmarkSpec spec_)
     syscallThresh = bernoulliThreshold(syscallProb);
     loadThresh = bernoulliThreshold(benchSpec.loadFrac);
     dataThresh = bernoulliThreshold(benchSpec.loadFrac + storeTrigger);
+    packable = code.packable() && data.packable();
 }
 
 bool
@@ -57,21 +60,71 @@ SyntheticBenchmark::next(trace::MemRef &ref)
     return nextBatch(&ref, 1) == 1;
 }
 
+namespace
+{
+
+/** @name Output sinks of SyntheticBenchmark::generate */
+///@{
+inline void
+put(trace::MemRef *out, const trace::MemRef &ref)
+{
+    *out = ref;
+}
+
+inline void
+put(std::uint32_t *out, const trace::MemRef &ref)
+{
+    *out = trace::packed::pack(ref);
+}
+///@}
+
+} // namespace
+
 std::size_t
 SyntheticBenchmark::nextBatch(trace::MemRef *out, std::size_t n)
 {
-    // The generator hot loop.  Per-instruction invariants (the
-    // burst-trigger division, the syscall probability) are hoisted
-    // into members at construction, the bernoulli tests use their
-    // exact integer-threshold forms (see bernoulliThreshold), and
-    // data references are written straight into the output buffer --
+    return generate(out, n);
+}
+
+std::size_t
+SyntheticBenchmark::nextBatchPacked(std::uint32_t *out, std::size_t n)
+{
+    if (!packable)
+        return kNoPacked;
+    const Count first = instructionsEmitted;
+    Addr addrs = 0;
+    const std::size_t produced = generate(out, n, &addrs);
+    // Store bursts run on past the regions packable checked, so
+    // the batch's addresses are checked once, OR-ed together.
+    if ((addrs & (kWordBytes - 1)) != 0 || (addrs >> 31) != 0) {
+        gaas_error(ErrorCode::Internal, "benchmark ", benchSpec.name,
+                   ": a reference of instructions ", first, "..",
+                   instructionsEmitted,
+                   " does not fit the packed 4-byte layout (only "
+                   "word-aligned sub-2^31 streams are packable)");
+    }
+    return produced;
+}
+
+template <typename Out>
+std::size_t
+SyntheticBenchmark::generate(Out *out, std::size_t n, Addr *addrs)
+{
+    // The generator hot loop, shared by the MemRef and packed
+    // outputs.  Per-instruction invariants (the burst-trigger
+    // division, the syscall probability) are hoisted into members at
+    // construction, the bernoulli tests use their exact
+    // integer-threshold forms (see bernoulliThreshold), and data
+    // references are written straight into the output buffer --
     // only a reference that would overflow the batch goes through
     // the pendingData hand-off.
     std::size_t produced = 0;
     if (n == 0)
         return 0;
+    Addr seen = 0;
     if (havePending) {
-        out[produced++] = pendingData;
+        seen |= pendingData.addr;
+        put(out + produced++, pendingData);
         havePending = false;
     }
 
@@ -87,11 +140,10 @@ SyntheticBenchmark::nextBatch(trace::MemRef *out, std::size_t n)
 
     while (produced < n && emitted < budget) {
         ++emitted;
-        trace::MemRef &inst = out[produced++];
-        inst.addr = code.nextPc();
-        inst.kind = trace::RefKind::Inst;
-        inst.partialWord = false;
-        inst.syscall = (rng.next64() >> 11) < syscallThresh;
+        const Addr pc = code.nextPc();
+        seen |= pc;
+        put(out + produced++,
+            trace::instRef(pc, (rng.next64() >> 11) < syscallThresh));
 
         // At most one data reference per instruction (load/store
         // architecture); stores come in word-sequential bursts whose
@@ -116,8 +168,9 @@ SyntheticBenchmark::nextBatch(trace::MemRef *out, std::size_t n)
                 continue; // no data reference this instruction
             }
         }
+        seen |= data_ref.addr;
         if (produced < n) {
-            out[produced++] = data_ref;
+            put(out + produced++, data_ref);
         } else {
             // Batch full mid-instruction: hand the data reference
             // over to the next call.
@@ -130,6 +183,8 @@ SyntheticBenchmark::nextBatch(trace::MemRef *out, std::size_t n)
     storeBurstLeft = burstLeft;
     storeBurstAddr = burstAddr;
     mixRng = rng;
+    if (addrs)
+        *addrs = seen;
     return produced;
 }
 

@@ -92,6 +92,18 @@ class SyntheticBenchmark : public trace::TraceSource
     bool next(trace::MemRef &ref) override;
     std::size_t nextBatch(trace::MemRef *out,
                           std::size_t n) override;
+
+    /**
+     * The same records as nextBatch(), emitted straight as packed
+     * words (the trace arena's storage format), or kNoPacked when
+     * the spec's regions reach past what the packed layout holds.
+     * A store burst that runs off a region's end past 2^31 -- which
+     * the region check cannot rule out -- is a structured
+     * ErrorCode::Internal error, not a truncated word.
+     */
+    std::size_t nextBatchPacked(std::uint32_t *out,
+                                std::size_t n) override;
+
     void reset() override;
     std::string name() const override;
 
@@ -101,6 +113,12 @@ class SyntheticBenchmark : public trace::TraceSource
     const CodeModel &codeModel() const { return code; }
 
   private:
+    /** The generator loop behind both batch calls; ORs every
+     *  emitted address into *@p addrs when it is non-null. */
+    template <typename Out>
+    std::size_t generate(Out *out, std::size_t n,
+                         Addr *addrs = nullptr);
+
     BenchmarkSpec benchSpec;
     CodeModel code;
     DataModel data;
@@ -118,6 +136,9 @@ class SyntheticBenchmark : public trace::TraceSource
     std::uint64_t syscallThresh = 0;
     std::uint64_t loadThresh = 0;
     std::uint64_t dataThresh = 0;
+
+    /** Every region address fits the packed layout. */
+    bool packable = false;
 
     Count instructionsEmitted = 0;
     trace::MemRef pendingData;

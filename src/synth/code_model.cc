@@ -61,9 +61,10 @@ CodeModel::CodeModel(const CodeParams &params_, std::uint64_t seed_)
                          static_cast<double>(distributable) *
                          weights[i] / weight_sum);
     }
+    std::unordered_map<double, GeometricSampler> iters;
     for (unsigned i = 0; i < params.procCount; ++i) {
         std::uint64_t budget = budgets[i];
-        procs[i].body = buildSeq(i, 0, budget);
+        procs[i].body = buildSeq(i, 0, budget, iters);
     }
 
     // Lay out procedure text back to back from the text base, word
@@ -100,8 +101,9 @@ CodeModel::CodeModel(const CodeParams &params_, std::uint64_t seed_)
 }
 
 std::vector<std::uint32_t>
-CodeModel::buildSeq(std::uint32_t proc_id, unsigned depth,
-                    std::uint64_t &budget_words)
+CodeModel::buildSeq(
+    std::uint32_t proc_id, unsigned depth, std::uint64_t &budget_words,
+    std::unordered_map<double, GeometricSampler> &iters)
 {
     std::vector<std::uint32_t> seq;
     const bool can_call = proc_id + 1 < params.procCount;
@@ -119,9 +121,14 @@ CodeModel::buildSeq(std::uint32_t proc_id, unsigned depth,
             node.kind = NodeKind::Loop;
             // Deterministic build: use buildRng, not walkRng (the
             // walk stream must replay identically after reset()).
-            node.meanIters = 1.0 + static_cast<double>(
+            const double mean = 1.0 + static_cast<double>(
                 buildRng.nextGeometric(params.meanLoopIters));
-            node.children = buildSeq(proc_id, depth + 1, child_budget);
+            auto it = iters.find(mean);
+            if (it == iters.end())
+                it = iters.emplace(mean, GeometricSampler(mean)).first;
+            node.iters = it->second;
+            node.children =
+                buildSeq(proc_id, depth + 1, child_budget, iters);
             budget_words += child_budget; // return unused share
             if (node.children.empty())
                 continue;
@@ -246,8 +253,7 @@ CodeModel::walkToNextRun()
             runPos = 0;
             break;
           case NodeKind::Loop: {
-            std::uint64_t iters =
-                walkRng.nextGeometric(node.meanIters);
+            const std::uint64_t iters = node.iters.draw(walkRng);
             stack.push_back(Frame{top.procId, &node.children, 0,
                                   std::max<std::uint64_t>(iters, 1)});
             break;

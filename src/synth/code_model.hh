@@ -15,6 +15,7 @@
 #define GAAS_SYNTH_CODE_MODEL_HH
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "synth/params.hh"
@@ -57,6 +58,16 @@ class CodeModel
     /** Number of procedures generated. */
     std::size_t procedureCount() const { return procs.size(); }
 
+    /** Every instruction address lies below 2^31 (the packed
+     *  reference layout's reach; see trace/packed.hh). */
+    bool
+    packable() const
+    {
+        const Proc &last = procs.back();
+        return last.base + wordsToBytes(last.sizeWords) <=
+               Addr{1} << 31;
+    }
+
   private:
     /** Structure node kinds. */
     enum class NodeKind : std::uint8_t { Run, Loop, Call };
@@ -67,9 +78,9 @@ class CodeModel
         // Run: length in words and offset within the procedure.
         std::uint32_t runLen = 0;
         std::uint32_t runOffset = 0;
-        // Loop: children + mean trip count.
+        // Loop: children + trip-count sampler (shared per mean).
         std::vector<std::uint32_t> children;
-        double meanIters = 0.0;
+        GeometricSampler iters;
         // Call: callee procedure id.
         std::uint32_t callee = 0;
     };
@@ -94,9 +105,12 @@ class CodeModel
      *  run starts and return its first instruction address. */
     Addr walkToNextRun();
 
-    std::vector<std::uint32_t> buildSeq(std::uint32_t proc_id,
-                                        unsigned depth,
-                                        std::uint64_t &budget_words);
+    /** @param iters loop trip-count samplers built so far, one per
+     *  distinct mean */
+    std::vector<std::uint32_t>
+    buildSeq(std::uint32_t proc_id, unsigned depth,
+             std::uint64_t &budget_words,
+             std::unordered_map<double, GeometricSampler> &iters);
     std::uint32_t layoutProc(Proc &proc, std::uint32_t offset,
                              const std::vector<std::uint32_t> &seq);
     void startWalk();

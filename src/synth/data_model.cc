@@ -168,6 +168,30 @@ DataModel::footprintWords() const
                params.arrayWords;
 }
 
+bool
+DataModel::packable() const
+{
+    // Region ends are word multiples, so an end at or below 2^31
+    // also bounds the same-line re-touch (within the 16-byte line of
+    // an address drawn below it).
+    constexpr Addr kReach = Addr{1} << 31;
+    const auto fits = [](Addr base, std::uint64_t words) {
+        return words <= (kReach - base) / kWordBytes;
+    };
+    if (params.arrayWords > kReach)
+        return false;
+    std::uint64_t array_end = 0;
+    for (const std::uint64_t base : arrayBaseWords)
+        array_end = std::max(array_end, base + params.arrayWords);
+    // The stack grows down from kStackTop; it must not wrap past 0.
+    return stackBaseOffset + params.stackWords <=
+               layout::kStackTop / kWordBytes &&
+           fits(layout::kGlobalBase, globalBaseOffset + globalWordCount) &&
+           fits(layout::kHeapBase,
+                heapBaseOffset + heapLineCount * params.heapLineWords) &&
+           fits(layout::kArrayBase, array_end);
+}
+
 Addr
 DataModel::stackAddr(bool is_store)
 {
@@ -214,7 +238,8 @@ DataModel::arrayAddr()
     if (params.arrayCount == 0)
         return heapAddr();
     const unsigned idx = nextArray;
-    nextArray = (nextArray + 1) % params.arrayCount;
+    if (++nextArray == params.arrayCount)
+        nextArray = 0;
 
     ArrayWalk &walk = arrayWalk[idx];
     const std::uint64_t seg = segmentWords();
@@ -233,8 +258,13 @@ DataModel::arrayAddr()
         }
     }
 
+    // word % arrayWords without the division: the segment starts
+    // inside the array and the offset stays below one segment, so
+    // word < 2 * arrayWords.
     return layout::kArrayBase + wordsToBytes(arrayBaseWords[idx]) +
-           wordsToBytes(word % params.arrayWords);
+           wordsToBytes(word >= params.arrayWords
+                            ? word - params.arrayWords
+                            : word);
 }
 
 Addr

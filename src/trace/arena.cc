@@ -113,35 +113,56 @@ ArenaStream::bytes() const
     return allocatedBytes.load(std::memory_order_relaxed);
 }
 
-void
-ArenaStream::append(const MemRef *refs, std::size_t n)
+std::uint32_t *
+ArenaStream::slot(bool &fresh)
 {
-    // Pack block-sized runs: one slot lookup and one packability
-    // verdict per run instead of per reference.
-    while (n > 0) {
-        const std::size_t block = total / kBlockRefs;
-        const std::size_t off = total % kBlockRefs;
-        if (block >= blockCount) {
-            gaas_error(ErrorCode::Internal, "trace arena stream '",
-                       streamKey, "' exceeded its pass bound of ",
-                       passRefBound, " references");
-        }
-        std::uint32_t *data =
-            blocks[block].load(std::memory_order_relaxed);
-        if (!data) {
-            data = new std::uint32_t[kBlockRefs];
-            blocks[block].store(data, std::memory_order_relaxed);
-            allocatedBytes.fetch_add(
-                kBlockRefs * sizeof(std::uint32_t),
-                std::memory_order_relaxed);
-        }
-        const std::size_t run = std::min(n, kBlockRefs - off);
-        if (!packRun(refs, run, data + off))
-            rejectUnpackable(streamKey, total, refs, run);
-        refs += run;
-        n -= run;
-        total += run;
+    const std::size_t block = total / kBlockRefs;
+    if (block >= blockCount) {
+        gaas_error(ErrorCode::Internal, "trace arena stream '",
+                   streamKey, "' exceeded its pass bound of ",
+                   passRefBound, " references");
     }
+    std::uint32_t *data = blocks[block].load(std::memory_order_relaxed);
+    fresh = !data;
+    if (fresh) {
+        data = new std::uint32_t[kBlockRefs];
+        blocks[block].store(data, std::memory_order_relaxed);
+        allocatedBytes.fetch_add(kBlockRefs * sizeof(std::uint32_t),
+                                 std::memory_order_relaxed);
+    }
+    return data + total % kBlockRefs;
+}
+
+std::size_t
+ArenaStream::generate(std::size_t n, std::vector<MemRef> &scratch)
+{
+    bool fresh = false;
+    std::uint32_t *out = slot(fresh);
+    std::size_t got = TraceSource::kNoPacked;
+    if (packedGenerator) {
+        // Generators with a packed path (the synthetic benchmarks)
+        // write straight into the block.
+        got = generator->nextBatchPacked(out, n);
+        packedGenerator = got != TraceSource::kNoPacked;
+    }
+    if (!packedGenerator) {
+        // Everything else is packed here, one verdict per run.
+        if (scratch.size() < n)
+            scratch.resize(n);
+        got = generator->nextBatch(scratch.data(), n);
+        if (!packRun(scratch.data(), got, out))
+            rejectUnpackable(streamKey, total, scratch.data(), got);
+    }
+    if (got == 0 && fresh) {
+        // The pass ended on a block boundary: drop the empty block.
+        const std::size_t block = total / kBlockRefs;
+        delete[] blocks[block].exchange(nullptr,
+                                        std::memory_order_relaxed);
+        allocatedBytes.fetch_sub(kBlockRefs * sizeof(std::uint32_t),
+                                 std::memory_order_relaxed);
+    }
+    total += got;
+    return got;
 }
 
 void
@@ -189,14 +210,11 @@ ArenaStream::grow(std::size_t want, bool wait)
         std::max({want, total * 2, kMinChunk}), passRefBound);
 
     const std::size_t before = total;
-    std::vector<MemRef> scratch(std::min(kGenChunk, target));
+    std::vector<MemRef> scratch;
     while (total < target) {
-        const std::size_t ask =
-            std::min(scratch.size(), target - total);
-        const std::size_t got =
-            generator->nextBatch(scratch.data(), ask);
-        append(scratch.data(), got);
-        if (got < ask) {
+        const std::size_t ask = std::min(
+            {kGenChunk, target - total, kBlockRefs - total % kBlockRefs});
+        if (generate(ask, scratch) < ask) {
             // The generator's pass ended: freeze the length and drop
             // the generator (replays come from the blocks).
             passLen.store(total, std::memory_order_release);

@@ -150,8 +150,15 @@ class ArenaStream
      *  blocking or a try-lock acquisition of the growth mutex. */
     bool grow(std::size_t want, bool wait);
 
-    /** Append @p n records to the blocks (growth mutex held). */
-    void append(const MemRef *refs, std::size_t n);
+    /** The block slot of record `total`, allocating its block
+     *  (@p fresh: just now) (growth mutex held). */
+    std::uint32_t *slot(bool &fresh);
+
+    /** Pull @p n records (within one block) from the generator into
+     *  the blocks, unpacked through @p scratch if it has no packed
+     *  path; @return the number pulled, short only at the pass end
+     *  (growth mutex held). */
+    std::size_t generate(std::size_t n, std::vector<MemRef> &scratch);
 
     const std::string streamKey;
     const std::size_t passRefBound;
@@ -175,6 +182,9 @@ class ArenaStream
     std::function<std::unique_ptr<TraceSource>()> factory;
     std::unique_ptr<TraceSource> generator;
     bool generatorMade = false;
+    /** The generator emits packed words (nextBatchPacked); cleared
+     *  for good at its first kNoPacked. */
+    bool packedGenerator = true;
     bool done = false;
     std::size_t total = 0; //!< writer's mirror of `published`
     ///@}

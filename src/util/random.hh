@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace gaas
 {
@@ -138,58 +139,149 @@ bernoulliThreshold(double p)
 }
 
 /**
+ * Exact inverse-transform table for a draw that maps the 53-bit
+ * uniform k = next64() >> 11 monotonically onto a small integer
+ * (ParetoSampler, GeometricSampler).
+ *
+ * The draw's value changes only where its libm expression crosses an
+ * integer.  The table stores, for every crossing b = 0..regions(), the
+ * end hi(b) of a guard band [hi(b) - width(), hi(b)) placed around it
+ * from the analytic inverse CDF in extended precision.  Between the
+ * bands the value is constant and known: region b spans
+ * [hi(b), hi(b + 1) - width()).  Inside a band, and past the last
+ * crossing, lookup() answers kMiss and the sampler runs the libm
+ * expression itself, so every k yields exactly the value the
+ * expression would.  The bands are far wider than the libm error
+ * bound (see DESIGN.md, "Exact sampler tables"); a guide table
+ * indexed by the top bits of k starts the scan next to the answer.
+ *
+ * Tables are immutable and shared process-wide, one per distinct
+ * parameter set (see drawTableBytes()).
+ */
+class DrawTable
+{
+  public:
+    /** lookup() result for a draw the table does not answer. */
+    static constexpr std::uint64_t kMiss = ~std::uint64_t{0};
+
+    /** Largest number of regions a table holds (guide entries are
+     *  16-bit). */
+    static constexpr std::uint64_t kMaxRegions = 4096;
+
+    /**
+     * @param lo, hi  guard band [lo[b], hi[b]) of every crossing
+     *        b = 0..n, where n = lo.size() - 1 regions lie between
+     *        them: every k < lo[b] draws a value below region b's and
+     *        every k >= hi[b] one at or above it
+     */
+    DrawTable(const std::vector<std::uint64_t> &lo,
+              const std::vector<std::uint64_t> &hi);
+
+    /** @return the region of @p k (k < 2^53), or kMiss */
+    std::uint64_t
+    lookup(std::uint64_t k) const
+    {
+        std::uint64_t b = guide[k >> guideShift];
+        const std::uint64_t reach = k + bandWidth;
+        while (bandEnd[b + 1] <= reach)
+            ++b;
+        if (b >= regionCount || k < bandEnd[b])
+            return kMiss;
+        return b;
+    }
+
+    /** Number of regions the table answers. */
+    std::uint64_t regions() const { return regionCount; }
+
+    /** End of crossing @p b's guard band (b <= regions()). */
+    std::uint64_t hi(std::uint64_t b) const { return bandEnd[b]; }
+
+    /** Common guard-band width: crossing b's band is
+     *  [hi(b) - width(), hi(b)). */
+    std::uint64_t width() const { return bandWidth; }
+
+  private:
+    std::uint64_t regionCount = 0;
+    std::uint64_t bandWidth = 0;
+    unsigned guideShift = 0;
+    /** hi(0..regions()), then a sentinel that stops every scan. */
+    std::vector<std::uint64_t> bandEnd;
+    /** guide[g]: the last crossing whose band starts at or below
+     *  g << guideShift. */
+    std::vector<std::uint16_t> guide;
+};
+
+/** Heap bytes held by all shared DrawTables (at most 1 MiB: past that
+ *  budget, samplers of new parameter sets run libm on every draw). */
+std::size_t drawTableBytes();
+
+/**
  * Precomputed bounded-Pareto sampler over [0, bound).
  *
- * Rng::nextParetoIndex recomputes the bound^-alpha tail term (a
- * std::pow) and the -1/alpha exponent on every draw even though both
- * depend only on the distribution, not the draw.  The synthetic data
- * model draws from a handful of fixed (alpha, bound) pairs millions
- * of times per simulation, so hoisting them is one of the largest
- * single wins in the trace-generation hot path.  draw() is
- * bit-identical to nextParetoIndex(alpha, bound) for the same Rng
- * state: the cached terms are computed by the same expressions.
+ * draw() is bit-identical to Rng::nextParetoIndex(alpha, bound) for
+ * the same Rng state and consumes the same PRNG state.  The
+ * distribution's invariants (the bound^-alpha tail, the -1/alpha
+ * exponent) are computed once by the same expressions, and a shared
+ * DrawTable answers nearly every draw without the per-draw std::pow.
  */
 class ParetoSampler
 {
   public:
     ParetoSampler() = default;
 
-    ParetoSampler(double alpha_, std::uint64_t bound_)
-        : alpha(alpha_), bound(bound_)
-    {
-        if (alpha > 0.0 && bound > 1) {
-            tail = std::pow(static_cast<double>(bound), -alpha);
-            negInvAlpha = -1.0 / alpha;
-        }
-    }
+    ParetoSampler(double alpha, std::uint64_t bound);
 
     /** One draw; consumes exactly the PRNG state
      *  nextParetoIndex(alpha, bound) would. */
-    std::uint64_t draw(Rng &rng) const;
+    std::uint64_t
+    draw(Rng &rng) const
+    {
+        if (!table)
+            return drawUntabled(rng);
+        return at(rng.next64() >> 11);
+    }
+
+    /** The draw for uniform k = next64() >> 11 (alpha > 0 and
+     *  bound > 1), through the table where it answers. */
+    std::uint64_t
+    at(std::uint64_t k) const
+    {
+        const std::uint64_t idx =
+            table ? table->lookup(k) : DrawTable::kMiss;
+        return idx != DrawTable::kMiss ? idx : exact(k);
+    }
+
+    /** The shared table, or null (degenerate parameters, or the
+     *  table budget is spent). */
+    const DrawTable *drawTable() const { return table; }
 
   private:
+    /** The libm expression of nextParetoIndex for uniform k. */
+    std::uint64_t exact(std::uint64_t k) const;
+
+    /** nextParetoIndex's degenerate cases, and the no-table path. */
+    std::uint64_t drawUntabled(Rng &rng) const;
+
     double alpha = 0.0;
     std::uint64_t bound = 0;
-    double tail = 0.0;
+    double scale = 0.0; //!< 1 - bound^-alpha
     double negInvAlpha = 0.0;
+    const DrawTable *table = nullptr;
 };
 
 /**
  * Precomputed geometric sampler with a fixed mean (support {1, 2,
- * ...}).  Caches the log1p(-1/mean) denominator that
- * Rng::nextGeometric recomputes per draw; draw() is bit-identical to
- * nextGeometric(mean) for the same Rng state.
+ * ...}).  draw() is bit-identical to Rng::nextGeometric(mean) for the
+ * same Rng state: it caches the log1p(-1/mean) denominator that
+ * nextGeometric recomputes per draw, and a shared DrawTable answers
+ * nearly every draw without the per-draw std::log1p.
  */
 class GeometricSampler
 {
   public:
     GeometricSampler() = default;
 
-    explicit GeometricSampler(double mean_) : mean(mean_)
-    {
-        if (mean > 1.0)
-            denom = std::log1p(-(1.0 / mean));
-    }
+    explicit GeometricSampler(double mean);
 
     /** One draw; consumes exactly the PRNG state
      *  nextGeometric(mean) would. */
@@ -198,20 +290,28 @@ class GeometricSampler
     {
         if (mean <= 1.0)
             return 1;
-        double u = rng.nextDouble();
-        if (u >= 1.0)
-            u = 0x1.fffffffffffffp-1;
-        double k = std::floor(std::log1p(-u) / denom) + 1.0;
-        if (k < 1.0)
-            k = 1.0;
-        if (k > 1e12)
-            k = 1e12;
-        return static_cast<std::uint64_t>(k);
+        return at(rng.next64() >> 11);
     }
 
+    /** The draw for uniform k = next64() >> 11 (mean > 1). */
+    std::uint64_t
+    at(std::uint64_t k) const
+    {
+        const std::uint64_t region =
+            table ? table->lookup(k) : DrawTable::kMiss;
+        return region != DrawTable::kMiss ? region + 1 : exact(k);
+    }
+
+    /** The shared table, or null. */
+    const DrawTable *drawTable() const { return table; }
+
   private:
+    /** The libm expression of nextGeometric for uniform k. */
+    std::uint64_t exact(std::uint64_t k) const;
+
     double mean = 0.0;
     double denom = -1.0;
+    const DrawTable *table = nullptr;
 };
 
 /**

@@ -38,6 +38,7 @@
 #include "synth/suite.hh"
 #include "trace/arena.hh"
 #include "trace/compose.hh"
+#include "trace/packed.hh"
 #include "trace/source.hh"
 #include "trace/v3.hh"
 #include "util/error.hh"
@@ -169,6 +170,87 @@ TEST(ArenaStream, ReplayMatchesGeneratorBitExactly)
     // second drain starts with everything already published).
     view.reset();
     EXPECT_EQ(drain(view), expected);
+}
+
+/** A VectorSource that also emits its records packed, as the
+ *  synthetic generator does. */
+class PackedVectorSource : public VectorSource
+{
+  public:
+    using VectorSource::VectorSource;
+
+    std::size_t
+    nextBatchPacked(std::uint32_t *out, std::size_t n) override
+    {
+        std::vector<MemRef> refs(n);
+        const std::size_t got = nextBatch(refs.data(), n);
+        for (std::size_t i = 0; i < got; ++i)
+            out[i] = packed::pack(refs[i]);
+        return got;
+    }
+};
+
+TEST(ArenaStream, PackedGeneratorFillsBlocksAcrossTheirEdges)
+{
+    // A synthetic stream longer than one block arrives through the
+    // generator's packed path and replays like a fresh generator.
+    const synth::BenchmarkSpec spec = smallSpec(300'000);
+    auto fresh = synth::makeBenchmark(spec);
+    const std::vector<MemRef> expected = drain(*fresh);
+    ASSERT_GT(expected.size(), ArenaStream::kBlockRefs);
+
+    TraceArena arena;
+    ArenaStream *stream = arena.acquire(
+        "packed", 2 * spec.simInstructions, expected.size(),
+        [spec] { return synth::makeBenchmark(spec); });
+    ArenaSource view(stream, "view");
+    EXPECT_EQ(drain(view), expected);
+    EXPECT_EQ(stream->passRefs(), expected.size());
+    EXPECT_EQ(stream->bytes(),
+              2 * ArenaStream::kBlockRefs * sizeof(std::uint32_t));
+}
+
+TEST(ArenaStream, PackedPassEndingOnABlockEdgeKeepsNoEmptyBlock)
+{
+    // The pass fills block 0 exactly: the probe that finds its end
+    // must not leave block 1 allocated.
+    std::vector<MemRef> records;
+    for (std::size_t i = 0; i < ArenaStream::kBlockRefs; ++i)
+        records.push_back(instRef(0x0040'0000 + 4 * i));
+    TraceArena arena;
+    ArenaStream *stream = arena.acquire(
+        "edge", 2 * records.size(), 0, [&records] {
+            return std::make_unique<PackedVectorSource>("edge", records);
+        });
+    stream->ensure(2 * records.size());
+    EXPECT_EQ(stream->passRefs(), records.size());
+    EXPECT_EQ(stream->bytes(),
+              ArenaStream::kBlockRefs * sizeof(std::uint32_t));
+    ArenaSource view(stream, "view");
+    EXPECT_EQ(drain(view), records);
+}
+
+TEST(ArenaStream, SyntheticStreamPast2To31IsRejectedAtItsReference)
+{
+    // A spec whose arrays reach past 2^31 has no packed path, so the
+    // arena packs its records itself and names the first it cannot.
+    synth::BenchmarkSpec spec = synth::workloadSpecs(8)[3];
+    spec.data.arrayWords = 200'000'000;
+    spec.simInstructions = 100'000;
+    TraceArena arena;
+    ArenaStream *stream = arena.acquire(
+        "wide", 2 * spec.simInstructions, 0,
+        [spec] { return synth::makeBenchmark(spec); });
+    try {
+        stream->ensure(2 * spec.simInstructions);
+        FAIL() << "an address past 2^31 was packed";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Internal);
+        EXPECT_NE(std::string(e.what()).find("of stream 'wide'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(stream->publishedRefs(), 0u);
 }
 
 TEST(ArenaStream, PacksEveryFlagCombination)

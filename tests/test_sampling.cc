@@ -3,17 +3,26 @@
  * Sampled-simulation suite (ctest label: sampling): the Student-t
  * table, the infeasible-budget fallback's byte-identity with a
  * full-detail run, run-to-run determinism, the exact sampled
- * result of two pinned points, and the headline
- * accuracy contract -- on seeded Fig. 6 points the full-detail CPI
- * lies within the sampled run's reported 95% confidence interval.
+ * results of two pinned points and of all 28 BENCH_7 points, and
+ * the headline accuracy contract -- on seeded Fig. 6 points the
+ * full-detail CPI lies within the sampled run's reported 95%
+ * confidence interval.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/config.hh"
 #include "core/sampling.hh"
 #include "core/simulator.hh"
+#include "core/sweep.hh"
 #include "core/workload.hh"
+#include "obs/json.hh"
 
 namespace gaas::core
 {
@@ -175,6 +184,70 @@ TEST(Sampling, FullDetailCpiWithinReportedCiOnFig6Points)
         // must be a small fraction of the budget.
         EXPECT_LT(s.sampling.measuredInstructions, total / 4);
         EXPECT_GT(s.sampling.skippedInstructions, total / 2);
+    }
+}
+
+/**
+ * Every point of BENCH_7.json, the sampled fig6 ladder at its full
+ * budget (16M instructions + 8M warmup, mp 8): each point's sampled
+ * CPI, half-width and interval count must reproduce exactly.
+ */
+TEST(Sampling, Bench7PerPointResultsOnTheFullFig6Ladder)
+{
+    std::ifstream in(std::string(GAAS_SOURCE_DIR) + "/BENCH_7.json");
+    ASSERT_TRUE(in) << "BENCH_7.json not found";
+    std::stringstream text;
+    text << in.rdbuf();
+    const obs::JsonValue doc = obs::parseJson(text.str());
+    const obs::JsonValue *points = doc.member("per_point");
+    ASSERT_NE(points, nullptr);
+    ASSERT_EQ(points->items.size(), 28u);
+
+    struct Org
+    {
+        const char *name;
+        L2Org org;
+        unsigned assoc;
+        Cycles accessTime;
+    };
+    const Org orgs[] = {
+        {"unified-1w", L2Org::Unified, 1, 6},
+        {"unified-2w", L2Org::Unified, 2, 7},
+        {"split-1w", L2Org::LogicalSplit, 1, 6},
+        {"split-2w", L2Org::LogicalSplit, 2, 7},
+    };
+    std::vector<SweepJob> jobs;
+    for (std::uint64_t size = 16 * 1024; size <= 1024 * 1024;
+         size *= 2) {
+        for (const Org &o : orgs) {
+            SweepJob job;
+            job.config = fig6Point(size, o.org, o.assoc, o.accessTime);
+            job.config.name = "l2-" + std::to_string(size / 1024) +
+                              "k-" + o.name;
+            job.mpLevel = 8;
+            job.instructions = 16'000'000;
+            job.warmup = 8'000'000;
+            job.sampling.enabled = true;
+            jobs.push_back(std::move(job));
+        }
+    }
+    const std::vector<SimResult> results = runSweep(jobs);
+    ASSERT_EQ(results.size(), points->items.size());
+
+    const auto number = [](const obs::JsonValue &point, const char *key) {
+        const obs::JsonValue *v = point.member(key);
+        return v ? std::strtod(v->scalar.c_str(), nullptr) : -1.0;
+    };
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const obs::JsonValue &point = points->items[i];
+        const SimResult &r = results[i];
+        SCOPED_TRACE(jobs[i].config.name);
+        ASSERT_NE(point.member("config"), nullptr);
+        EXPECT_EQ(point.member("config")->scalar, jobs[i].config.name);
+        EXPECT_EQ(r.sampling.cpiMean, number(point, "sampled_cpi"));
+        EXPECT_EQ(r.sampling.cpiHalfWidth, number(point, "half_width"));
+        EXPECT_EQ(static_cast<double>(r.sampling.intervals),
+                  number(point, "intervals"));
     }
 }
 

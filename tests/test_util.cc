@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -14,7 +16,10 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
+#include "synth/suite.hh"
 #include "util/bitops.hh"
 #include "util/env.hh"
 #include "util/error.hh"
@@ -207,6 +212,250 @@ TEST(Rng, PickCumulative)
     EXPECT_NEAR(counts[1], n * 0.50, n * 0.02);
     EXPECT_NEAR(counts[2], n * 0.25, n * 0.02);
 }
+
+/**
+ * @name Sampler exactness
+ * ParetoSampler and GeometricSampler answer most draws from a shared
+ * DrawTable; the contract is that every draw equals Rng's libm
+ * expression (nextParetoIndex / nextGeometric) and consumes the same
+ * PRNG state.  The references below restate those expressions for a
+ * given uniform k = next64() >> 11, independently of the samplers.
+ */
+///@{
+constexpr std::uint64_t kTopDraw = (std::uint64_t{1} << 53) - 1;
+
+std::uint64_t
+paretoAt(double alpha, std::uint64_t bound, std::uint64_t k)
+{
+    const double tail = std::pow(static_cast<double>(bound), -alpha);
+    const double u = static_cast<double>(k) * 0x1.0p-53;
+    const double x = std::pow(1.0 - u * (1.0 - tail), -1.0 / alpha);
+    const auto idx = static_cast<std::uint64_t>(x) - 1;
+    return idx >= bound ? bound - 1 : idx;
+}
+
+std::uint64_t
+geometricAt(double mean, std::uint64_t k)
+{
+    const double u = static_cast<double>(k) * 0x1.0p-53;
+    const double r =
+        std::floor(std::log1p(-u) / std::log1p(-(1.0 / mean))) + 1.0;
+    return static_cast<std::uint64_t>(std::clamp(r, 1.0, 1e12));
+}
+
+struct ParetoSet
+{
+    double alpha;
+    std::uint64_t bound;
+};
+
+/** The suite's Pareto parameter sets (as DataModel and CodeModel
+ *  derive them) plus a grid over alpha 0.5-1.5, bounds 2-2^20. */
+std::vector<ParetoSet>
+paretoSets()
+{
+    std::set<std::pair<double, std::uint64_t>> sets;
+    for (const auto &spec : synth::workloadSpecs(synth::kSuiteSize)) {
+        const auto &d = spec.data;
+        sets.emplace(d.globalAlpha,
+                     std::bit_floor(std::max<std::uint64_t>(
+                         d.globalWords, 1)));
+        sets.emplace(d.heapAlpha,
+                     std::bit_floor(std::max<std::uint64_t>(
+                         d.heapWords / d.heapLineWords, 1)));
+        sets.emplace(spec.code.jumpZipfAlpha, spec.code.procCount);
+    }
+    for (const double alpha : {0.5, 0.65, 0.8, 1.0, 1.25, 1.5}) {
+        for (const std::uint64_t bound :
+             {2ull, 3ull, 7ull, 100ull, 4096ull, 1ull << 20})
+            sets.emplace(alpha, bound);
+    }
+    std::vector<ParetoSet> out;
+    for (const auto &[alpha, bound] : sets)
+        out.push_back({alpha, bound});
+    return out;
+}
+
+/** The suite's geometric means (stack offsets, store bursts, loop
+ *  trip counts: 1 + a geometric draw, so integers from 2) plus a
+ *  grid over 1.0-64. */
+std::vector<double>
+geometricMeans()
+{
+    std::set<double> means = {1.0, 1.25, 1.5, 2.5, 3.0, 7.5, 10.0,
+                              17.5, 100.0, 433.0};
+    for (int m = 2; m <= 64; ++m)
+        means.insert(m);
+    for (const auto &spec : synth::workloadSpecs(synth::kSuiteSize))
+        means.insert(std::max(spec.data.storeBurstMean, 1.0));
+    return {means.begin(), means.end()};
+}
+
+/**
+ * Check @p at against @p ref at k = 0, k = 2^53 - 1, every k within
+ * @p margin of each guard band's two edges, and every k within
+ * @p margin of each point where @p ref's value changes (found by
+ * bisection, up to the table's last region).  @return mismatches.
+ */
+template <typename At, typename Ref>
+int
+mismatchesNearEdges(const DrawTable &table, At at, Ref ref,
+                    std::uint64_t margin)
+{
+    int bad = 0;
+    const auto check = [&](std::uint64_t k) {
+        if (k <= kTopDraw && at(k) != ref(k) && ++bad <= 5) {
+            ADD_FAILURE() << "k = " << k << ": table " << at(k)
+                          << ", libm " << ref(k);
+        }
+    };
+    const auto around = [&](std::uint64_t edge) {
+        const std::uint64_t from = edge > margin ? edge - margin : 0;
+        for (std::uint64_t k = from; k <= edge + margin; ++k)
+            check(k);
+    };
+    check(0);
+    check(kTopDraw);
+    for (std::uint64_t b = 0; b <= table.regions(); ++b) {
+        around(table.hi(b));
+        around(table.hi(b) > table.width()
+                   ? table.hi(b) - table.width()
+                   : 0);
+    }
+    // The value steps up at each crossing; bisect for the first k
+    // above each value reached.
+    std::uint64_t lo = 0;
+    for (std::uint64_t b = 0; b <= table.regions(); ++b) {
+        const std::uint64_t value = ref(lo);
+        if (ref(kTopDraw) <= value)
+            break;
+        std::uint64_t hi = kTopDraw;
+        while (hi - lo > 1) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            (ref(mid) <= value ? lo : hi) = mid;
+        }
+        around(hi);
+        lo = hi;
+    }
+    return bad;
+}
+
+TEST(SamplerTables, ParetoMatchesLibmAroundEveryBandAndCrossing)
+{
+    for (const ParetoSet &set : paretoSets()) {
+        SCOPED_TRACE(testing::Message() << "alpha " << set.alpha
+                                        << ", bound " << set.bound);
+        const ParetoSampler sampler(set.alpha, set.bound);
+        ASSERT_NE(sampler.drawTable(), nullptr);
+        EXPECT_LE(sampler.drawTable()->regions(), set.bound - 1);
+        EXPECT_EQ(mismatchesNearEdges(
+                      *sampler.drawTable(),
+                      [&](std::uint64_t k) { return sampler.at(k); },
+                      [&](std::uint64_t k) {
+                          return paretoAt(set.alpha, set.bound, k);
+                      },
+                      16),
+                  0);
+    }
+}
+
+TEST(SamplerTables, GeometricMatchesLibmAroundEveryBandAndCrossing)
+{
+    for (const double mean : geometricMeans()) {
+        SCOPED_TRACE(testing::Message() << "mean " << mean);
+        const GeometricSampler sampler(mean);
+        if (mean <= 1.0) {
+            EXPECT_EQ(sampler.drawTable(), nullptr);
+            continue;
+        }
+        ASSERT_NE(sampler.drawTable(), nullptr);
+        EXPECT_EQ(mismatchesNearEdges(
+                      *sampler.drawTable(),
+                      [&](std::uint64_t k) { return sampler.at(k); },
+                      [&](std::uint64_t k) {
+                          return geometricAt(mean, k);
+                      },
+                      16),
+                  0);
+    }
+}
+
+TEST(SamplerTables, RandomDrawsMatchRngAndLeaveTheSameState)
+{
+    // 10^7 draws in all, each sampler against the Rng method it
+    // replaces, on twin generators: values and the state left behind
+    // must agree.
+    const auto pareto = paretoSets();
+    const auto geometric = geometricMeans();
+    const std::size_t sets = pareto.size() + geometric.size();
+    const std::size_t per_set = 10'000'000 / sets + 1;
+    std::uint64_t seed = 1;
+    for (const ParetoSet &set : pareto) {
+        const ParetoSampler sampler(set.alpha, set.bound);
+        Rng a(seed), b(seed);
+        ++seed;
+        std::size_t bad = 0;
+        for (std::size_t i = 0; i < per_set; ++i)
+            bad += sampler.draw(a) != b.nextParetoIndex(set.alpha,
+                                                        set.bound);
+        EXPECT_EQ(bad, 0u) << "alpha " << set.alpha << ", bound "
+                           << set.bound;
+        EXPECT_EQ(a.next64(), b.next64());
+    }
+    for (const double mean : geometric) {
+        const GeometricSampler sampler(mean);
+        Rng a(seed), b(seed);
+        ++seed;
+        std::size_t bad = 0;
+        for (std::size_t i = 0; i < per_set; ++i)
+            bad += sampler.draw(a) != b.nextGeometric(mean);
+        EXPECT_EQ(bad, 0u) << "mean " << mean;
+        EXPECT_EQ(a.next64(), b.next64());
+    }
+}
+
+TEST(SamplerTables, DegenerateParetoCasesMatchRng)
+{
+    // No table: bound 1 draws nothing, alpha <= 0 is uniform.
+    for (const ParetoSet set : {ParetoSet{0.9, 1}, ParetoSet{0.0, 77},
+                                ParetoSet{-1.0, 5}, ParetoSet{20.0, 9}}) {
+        const ParetoSampler sampler(set.alpha, set.bound);
+        Rng a(3), b(3);
+        for (int i = 0; i < 1000; ++i) {
+            ASSERT_EQ(sampler.draw(a),
+                      b.nextParetoIndex(set.alpha, set.bound));
+        }
+        EXPECT_EQ(a.next64(), b.next64());
+    }
+}
+
+TEST(SamplerTables, OneSharedTablePerParameterSet)
+{
+    // Samplers built concurrently for one parameter set share one
+    // table; another parameter set gets its own.
+    constexpr int kThreads = 4;
+    std::vector<const DrawTable *> pareto(kThreads), geometric(kThreads);
+    {
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                pareto[t] = ParetoSampler(0.77, 5000).drawTable();
+                geometric[t] = GeometricSampler(7.25).drawTable();
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+    }
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_NE(pareto[t], nullptr);
+        EXPECT_EQ(pareto[t], pareto[0]);
+        EXPECT_EQ(geometric[t], geometric[0]);
+    }
+    EXPECT_NE(ParetoSampler(0.77, 5001).drawTable(), pareto[0]);
+    EXPECT_NE(GeometricSampler(7.5).drawTable(), geometric[0]);
+    EXPECT_LE(drawTableBytes(), std::size_t{1} << 20);
+}
+///@}
 
 TEST(FractionAccumulator, ZeroRate)
 {
@@ -469,6 +718,27 @@ TEST(FileIo, RetrySucceedsAfterTransientFault)
         util::writeFileAtomicRetry(path, "nope\n", &error, 3));
     EXPECT_FALSE(error.empty());
     EXPECT_EQ(slurp(path), "ok\n");
+}
+
+TEST(SamplerTables, BudgetCapsTheTablesAndDrawsStayExact)
+{
+    // Distinct means until the 1 MiB budget refuses a table: the
+    // total stays capped and a table-less sampler is still exact.
+    // (Last in this file: it spends the process's budget.)
+    double mean = 1000.5;
+    while (GeometricSampler(mean).drawTable() != nullptr)
+        mean += 1.0;
+    EXPECT_LE(drawTableBytes(), std::size_t{1} << 20);
+    const GeometricSampler geometric(mean + 1.0);
+    const ParetoSampler pareto(0.71, 123456);
+    EXPECT_EQ(geometric.drawTable(), nullptr);
+    EXPECT_EQ(pareto.drawTable(), nullptr);
+    Rng a(9), b(9);
+    for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(geometric.draw(a), b.nextGeometric(mean + 1.0));
+        ASSERT_EQ(pareto.draw(a), b.nextParetoIndex(0.71, 123456));
+    }
+    EXPECT_EQ(a.next64(), b.next64());
 }
 
 } // namespace
