@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
@@ -308,6 +309,41 @@ BM_MmuDispatchControl(benchmark::State &state)
     mmuDispatchKernel<false>(state);
 }
 BENCHMARK(BM_MmuDispatchControl);
+
+/**
+ * The dispatch control's floor: the same recorded schedule walked
+ * one record per iteration with no I/D kind branch, so the gap to
+ * BM_MmuDispatchControl is the branch itself.  Data records follow
+ * about a quarter of the instructions in no pattern the host can
+ * learn, so the branch mispredicts often; any exact step loop still
+ * makes that per-instruction decision.
+ */
+void
+BM_MmuLinearControl(benchmark::State &state)
+{
+    const auto &schedule = ladderSchedule();
+    const std::size_t end = schedule.size();
+    std::size_t at = 0;
+    Count refs = 0;
+    for (auto _ : state) {
+        const auto [pid, word] = schedule[at];
+        benchmark::DoNotOptimize(pid);
+        benchmark::DoNotOptimize(trace::packed::addrOf(word));
+        ++refs;
+        if (++at == end)
+            at = 0;
+    }
+    state.counters["s/ref"] = benchmark::Counter(
+        static_cast<double>(refs),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    const auto data = std::count_if(
+        schedule.begin(), schedule.end(), [](const auto &rec) {
+            return !trace::packed::isInst(rec.second);
+        });
+    state.counters["data_frac"] =
+        static_cast<double>(data) / static_cast<double>(end);
+}
+BENCHMARK(BM_MmuLinearControl);
 
 /**
  * The exact source composition Workload::standard hands the

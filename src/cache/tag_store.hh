@@ -233,16 +233,6 @@ class TagStore
      */
     LineIndex allocateIdx(Addr addr, Eviction &evicted);
 
-    /** Prefetch the tag words (and state bytes) of @p addr's set
-     *  into the host cache; used by the batched simulate loop. */
-    void
-    prefetchSet(Addr addr) const
-    {
-        const LineIndex base = setIndex(addr) * assocWays;
-        __builtin_prefetch(&tagArr[base]);
-        __builtin_prefetch(&stateArr[base]);
-    }
-
     /** @name Per-index state accessors (Ref's backing store) */
     ///@{
     std::uint8_t stateAt(LineIndex idx) const { return stateArr[idx]; }

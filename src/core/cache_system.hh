@@ -141,18 +141,6 @@ class CacheSystem
                   bool partial_word);
     ///@}
 
-    /** Data-side L2 tag-set software prefetch, for the batched
-     *  simulate loop: worth fetching ahead under write-through
-     *  policies, where every store probes L2 (applyWriteToL2) and
-     *  the L2 arrays are far too big for the host cache.  (The L1
-     *  stores stay host-resident by themselves; prefetching them
-     *  was measured a net loss.) */
-    void
-    prefetchL2Data(Addr vaddr) const
-    {
-        (l2u ? *l2u : *l2ds).prefetchSet(vaddr);
-    }
-
     /** Event counters (TLB/WB/memory stats are folded in). */
     SysStats stats() const;
 

@@ -25,7 +25,6 @@ Simulator::Simulator(const SystemConfig &config, Workload workload)
     sliceEnd = cfg.timeSliceCycles;
 
     loops = pickLoop();
-    prefetchStoreL2 = isWriteThrough(cfg.writePolicy);
 }
 
 void
@@ -92,13 +91,6 @@ Simulator::refill(ProcState &p)
         if (got != trace::TraceSource::kNoPacked) {
             p.bufLen = got;
             p.bufPos = 0;
-            if (prefetchStoreL2) {
-                for (std::size_t i = 0; i < got; ++i) {
-                    const std::uint32_t w = p.pbuffer[i];
-                    if (trace::packed::isStore(w))
-                        sys.prefetchL2Data(trace::packed::addrOf(w));
-                }
-            }
             return got > 0;
         }
         p.packedMode = false;
@@ -106,24 +98,6 @@ Simulator::refill(ProcState &p)
 
     p.bufLen = p.proc.source->nextBatch(p.buffer.data(), kRefBatch);
     p.bufPos = 0;
-
-    // Under write-through policies every store probes the
-    // data-side L2, whose multi-megabyte tag arrays dwarf the host
-    // cache; prefetch those sets one batch ahead.  The set index
-    // comes from address bits the OS page colouring keeps equal
-    // between virtual and physical (Section 2), so the untranslated
-    // address selects the right set -- and a stale prefetch only
-    // costs bandwidth, never correctness.  The L1 stores are small
-    // enough to stay host-cache-resident on their own; prefetching
-    // them too was measured a net loss (the sweep costs more than
-    // the hits it saves).
-    if (prefetchStoreL2) {
-        for (std::size_t i = 0; i < p.bufLen; ++i) {
-            const trace::MemRef &r = p.buffer[i];
-            if (r.isStore())
-                sys.prefetchL2Data(r.addr);
-        }
-    }
     return p.bufLen > 0;
 }
 

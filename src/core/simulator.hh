@@ -214,9 +214,6 @@ class Simulator
     LoopFns loops;
     bool forceGeneric = false; //!< setForceGenericPath()
     bool genericPath = true;   //!< what pickLoop() last chose
-    /** Write-through stores probe L2 every time; prefetch those
-     *  sets at batch-refill. */
-    bool prefetchStoreL2 = false;
     ///@}
 
     /** @name Measured since the last resetMeasurement() */

@@ -101,7 +101,9 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
     Workload wl;
     if (streaming) {
         // One ceiling for the whole workload: each stream gets an
-        // even share, so naming more traces never buys more memory.
+        // even share as its cap, so naming more traces never buys
+        // more memory.  A stream whose share holds its lookahead
+        // (trace/stream.hh) uses only that much.
         const std::size_t total =
             static_cast<std::size_t>(envU64(
                 trace::kStreamBudgetEnv,

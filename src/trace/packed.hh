@@ -75,11 +75,6 @@ inline bool isLoad(std::uint32_t word)
 {
     return kindOf(word) == RefKind::Load;
 }
-
-inline bool isStore(std::uint32_t word)
-{
-    return kindOf(word) == RefKind::Store;
-}
 ///@}
 
 /** Unpack @p word into a full MemRef. */

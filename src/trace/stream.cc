@@ -39,8 +39,10 @@ StreamSource::StreamSource(const std::string &path,
                    " or the workload's per-stream share) allows "
                    "only ", budget, " bytes");
     }
-    const std::size_t count = std::clamp<std::size_t>(
-        slotBytes ? budget / slotBytes : 2, 2, 16);
+    // The ring is as deep as the lookahead needs; the ceiling only
+    // caps it (and a ceiling under two slots was rejected above).
+    const std::size_t count = std::min<std::size_t>(
+        kStreamLookaheadBlocks, slotBytes ? budget / slotBytes : 2);
     slots.resize(count);
     ringBytes = count * slotBytes;
     for (Slot &slot : slots) {

@@ -11,13 +11,18 @@
  * all fit the packed u32 layout, which is the same fast path the
  * in-memory arena uses; otherwise the MemRef batch path serves.
  *
- * Memory model: the slot ring is sized from a hard byte ceiling --
+ * Memory model: the slot ring is sized by lookahead, like a pipe
+ * buffer that keeps the producer just ahead of the consumer, not by
+ * the memory on offer.  It holds kStreamLookaheadBlocks slots (one
+ * compressed payload + one decoded block each): the block the
+ * simulator is draining, the next one, and slack for a reader that
+ * loses the host for a moment.  The hard byte ceiling --
  * StreamOptions::memoryBudgetBytes, defaulting to the
- * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset):
- * ring bytes = slots x (one decoded block + one compressed
- * payload), clamped to [2, 16] slots.  A ceiling too small for even
- * two slots is a TraceIO error naming the minimum, never a silent
- * overrun.  Peak RSS is therefore independent of trace length.
+ * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset) -- only
+ * caps that depth; a ceiling too small for even two slots is a
+ * TraceIO error naming the minimum, never a silent overrun.  Peak
+ * RSS is therefore independent of trace length, and of the ceiling
+ * once the ceiling holds the lookahead.
  *
  * Ordering/consistency: production runs strictly ahead of
  * consumption in block order; skip()/reset() move the cursor in
@@ -37,6 +42,7 @@
 #define GAAS_TRACE_STREAM_HH
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -55,6 +61,16 @@ inline constexpr const char *kStreamBudgetEnv =
 
 /** Default streaming memory ceiling when the env is unset (MiB). */
 inline constexpr std::uint64_t kStreamBudgetDefaultMb = 64;
+
+/**
+ * Slots a StreamSource's ring holds when the ceiling allows: a
+ * double buffer (the block being drained + the one being decoded)
+ * plus one block of slack for reader-thread scheduling jitter.  A
+ * reader decodes a block faster than the simulate loop consumes it,
+ * so more depth buys no throughput, only memory (DESIGN.md §12 has
+ * the measurements).  A design constant, not a knob.
+ */
+inline constexpr std::size_t kStreamLookaheadBlocks = 3;
 
 struct StreamOptions
 {
@@ -91,10 +107,12 @@ class StreamSource : public TraceSource
     /** True if replay runs through the packed u32 fast path. */
     bool packedCapable() const { return packed; }
 
-    /** Total buffer bytes the slot ring may hold (<= the ceiling). */
+    /** Bytes the slot ring holds: slotCount() x one slot's bytes
+     *  (<= the ceiling). */
     std::size_t bufferBytes() const { return ringBytes; }
 
-    /** Slots in the ring (prefetch depth). */
+    /** Slots in the ring: kStreamLookaheadBlocks, or fewer (never
+     *  under 2) when the ceiling cannot hold that many. */
     std::size_t slotCount() const { return slots.size(); }
 
     /** Blocks the reader thread decoded so far (telemetry). */

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/journal.hh"
@@ -370,6 +371,97 @@ TEST_F(StreamTest, MinimalCeilingStillDrainsWithTwoSlots)
     EXPECT_EQ(stream.slotCount(), 2u);
     EXPECT_LE(stream.bufferBytes(), options.memoryBudgetBytes);
     EXPECT_EQ(drainAll(stream), refs);
+}
+
+/** One ring slot's bytes: a compressed payload plus a decoded block. */
+std::size_t
+slotBytesOf(const std::string &path)
+{
+    const V3File file(path);
+    return file.maxPayloadBytes() +
+           std::size_t{file.blockRefs()} *
+               (file.packable() ? sizeof(std::uint32_t)
+                                : sizeof(MemRef));
+}
+
+TEST_F(StreamTest, RingDepthIsTheLookaheadNotTheCeiling)
+{
+    // A roomy ceiling buys no depth past the lookahead, on either
+    // replay path; the ceiling only caps it.
+    for (const bool packable : {true, false}) {
+        const std::string path =
+            writeV3(packable ? "deep.v3" : "deep-np.v3",
+                    packable ? packableTrace(2000) : escapeTrace(2000),
+                    64);
+        const std::size_t slotBytes = slotBytesOf(path);
+        for (const std::size_t ceiling :
+             {std::size_t{0}, std::size_t{64} << 20,
+              (kStreamLookaheadBlocks + 5) * slotBytes}) {
+            StreamOptions options;
+            options.memoryBudgetBytes = ceiling;
+            StreamSource stream(path, options);
+            EXPECT_EQ(stream.packedCapable(), packable);
+            EXPECT_EQ(stream.slotCount(), kStreamLookaheadBlocks)
+                << "ceiling " << ceiling;
+            EXPECT_EQ(stream.bufferBytes(),
+                      kStreamLookaheadBlocks * slotBytes)
+                << "ceiling " << ceiling;
+        }
+
+        // Under the lookahead the ceiling wins, down to two slots.
+        StreamOptions options;
+        options.memoryBudgetBytes =
+            (kStreamLookaheadBlocks - 1) * slotBytes + slotBytes / 2;
+        StreamSource capped(path, options);
+        EXPECT_EQ(capped.slotCount(), kStreamLookaheadBlocks - 1);
+        EXPECT_LE(capped.bufferBytes(), options.memoryBudgetBytes);
+    }
+}
+
+TEST_F(StreamTest, ReplaySkipAndResetMatchReaderAtEveryDepth)
+{
+    // The same read/skip/reset script against TraceV3Reader and
+    // against streams at the minimum and the lookahead depth: every
+    // record must agree, whether a skip stays in the held block,
+    // lands inside the prefetch window or jumps past it.
+    const auto refs = packableTrace(1500);
+    const std::string path = writeV3("depth.v3", refs, 16);
+    const std::size_t slotBytes = slotBytesOf(path);
+    const std::vector<std::pair<std::size_t, std::size_t>> script = {
+        {5, 0},  {3, 7},   {20, 16},  {1, 33}, {40, 200},
+        {16, 1}, {9, 500}, {64, 17},  {2, 48}, {100, 0}};
+
+    auto run = [&](TraceSource &src) {
+        std::vector<MemRef> got;
+        for (int lap = 0; lap < 2; ++lap) {
+            for (const auto &[reads, skip] : script) {
+                const auto part = collect(src, reads);
+                got.insert(got.end(), part.begin(), part.end());
+                EXPECT_EQ(src.skip(skip), skip);
+            }
+            const auto rest = drainAll(src);
+            got.insert(got.end(), rest.begin(), rest.end());
+            src.reset();
+        }
+        return got;
+    };
+
+    std::size_t skipped = 0;
+    for (const auto &step : script)
+        skipped += step.second;
+    TraceV3Reader reader(path);
+    const auto expected = run(reader);
+    ASSERT_EQ(expected.size(), 2 * (refs.size() - skipped));
+    for (const std::size_t slots :
+         {std::size_t{2}, kStreamLookaheadBlocks}) {
+        StreamOptions options;
+        options.memoryBudgetBytes = slots * slotBytes;
+        StreamSource stream(path, options);
+        ASSERT_EQ(stream.slotCount(), slots);
+        EXPECT_EQ(run(stream), expected) << slots << " slots";
+        stream.reset();
+        EXPECT_EQ(drainAll(stream), refs) << slots << " slots";
+    }
 }
 
 TEST_F(StreamTest, JournalKeysTrackContentNotPathOrMode)

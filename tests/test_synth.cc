@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "synth/benchmark.hh"
@@ -427,6 +428,15 @@ struct StreamPin
     std::size_t refs;       //!< records in one pass
     std::uint64_t digest;   //!< FNV-1a over the packed words
 };
+
+/** Names each instance by its spec and remix: gtest's default byte
+ *  dump would include the struct's padding, whose contents vary from
+ *  build to build. */
+void
+PrintTo(const StreamPin &pin, std::ostream *os)
+{
+    *os << "spec" << pin.spec << "-remix" << pin.remix;
+}
 
 std::uint64_t
 remixSeed(std::uint64_t seed, std::uint64_t remix)
