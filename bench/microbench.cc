@@ -166,29 +166,14 @@ class RecordingSource : public trace::TraceSource
         : inner(std::move(inner_)), pid(pid_), log(log_)
     {}
 
-    bool
-    next(trace::MemRef &ref) override
-    {
-        return nextBatch(&ref, 1) == 1;
-    }
-
-    std::size_t
-    nextBatch(trace::MemRef *out, std::size_t n) override
-    {
-        const std::size_t got = inner->nextBatch(out, n);
-        for (std::size_t i = 0; i < got; ++i)
-            log.emplace_back(pid, trace::packed::pack(out[i]));
-        return got;
-    }
+    bool next(trace::MemRef &ref) override { return inner->next(ref); }
 
     std::size_t
     nextBatchPacked(std::uint32_t *out, std::size_t n) override
     {
         const std::size_t got = inner->nextBatchPacked(out, n);
-        if (got != kNoPacked) {
-            for (std::size_t i = 0; i < got; ++i)
-                log.emplace_back(pid, out[i]);
-        }
+        for (std::size_t i = 0; i < got; ++i)
+            log.emplace_back(pid, out[i]);
         return got;
     }
 

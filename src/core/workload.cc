@@ -138,15 +138,6 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
     auto &arena = trace::TraceArena::global();
     for (const std::string &path : paths) {
         const trace::V3FileInfo info = trace::v3FileInfo(path);
-        if (!info.packable()) {
-            // The arena stores packed u32 words only; a file with
-            // unaligned or >2^31-word addresses replays through its
-            // own block-at-a-time reader instead.
-            wl.add(std::make_unique<trace::LoopSource>(
-                       std::make_unique<trace::TraceV3Reader>(path)),
-                   base_cpi, shortName(path));
-            continue;
-        }
         const std::string key =
             "file:" + std::to_string(info.digest) + ":" +
             std::to_string(info.records);

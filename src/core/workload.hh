@@ -86,20 +86,23 @@ class Workload
      * Replay mode:
      *  - @p streaming false (default): each file is decoded once
      *    into the shared TraceArena (keyed by its content digest)
-     *    and replayed zero-copy, like the synthetic streams.
-     *    Workers that build it together split the decoding; each
-     *    waits for the files others decode on its first read.  With
-     *    the arena disabled (GAAS_BENCH_ARENA=0) each process gets
-     *    its own block-at-a-time TraceV3Reader.
+     *    and replayed zero-copy, like the synthetic streams,
+     *    whatever its header's packable flag says.  Workers that
+     *    build it together split the decoding; each waits for the
+     *    files others decode on its first read.  With the arena
+     *    disabled (GAAS_BENCH_ARENA=0) each process gets its own
+     *    block-at-a-time TraceV3Reader.
      *  - @p streaming true: each process replays through a
      *    bounded-memory StreamSource; the GAAS_TRACE_STREAM_MB
      *    ceiling is split evenly across the files, so total
      *    buffering stays under one ceiling regardless of how many
      *    traces the workload names.
      *
-     * Both modes produce bit-identical reference streams (wrapped
-     * in LoopSource, like every other workload source).  Files must
-     * be format v3 -- convert v1/v2 with `tracepack pack`.
+     * Every mode produces the same packed words (wrapped in
+     * LoopSource, like every other workload source), normalised by
+     * the ingest rule of trace/source.hh: a record at or above 2^31
+     * is a SimError(TraceIO) naming it.  Files must be format v3 --
+     * convert v1/v2 with `tracepack pack`.
      *
      * @param base_cpi CPU-stall CPI floor assigned to every trace
      *        process (the paper's 1.238)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <type_traits>
+#include <vector>
 
 #include "trace/packed.hh"
 #include "util/error.hh"
@@ -46,7 +47,6 @@ SyntheticBenchmark::SyntheticBenchmark(BenchmarkSpec spec_)
     syscallThresh = bernoulliThreshold(syscallProb);
     loadThresh = bernoulliThreshold(benchSpec.loadFrac);
     dataThresh = bernoulliThreshold(benchSpec.loadFrac + storeTrigger);
-    packable = code.packable() && data.packable();
 }
 
 bool
@@ -89,19 +89,21 @@ SyntheticBenchmark::nextBatch(trace::MemRef *out, std::size_t n)
 std::size_t
 SyntheticBenchmark::nextBatchPacked(std::uint32_t *out, std::size_t n)
 {
-    if (!packable)
-        return kNoPacked;
-    const Count first = instructionsEmitted;
     Addr addrs = 0;
     const std::size_t produced = generate(out, n, &addrs);
-    // Store bursts run on past the regions packable checked, so
-    // the batch's addresses are checked once, OR-ed together.
-    if ((addrs & (kWordBytes - 1)) != 0 || (addrs >> 31) != 0) {
-        gaas_error(ErrorCode::Internal, "benchmark ", benchSpec.name,
-                   ": a reference of instructions ", first, "..",
-                   instructionsEmitted,
-                   " does not fit the packed 4-byte layout (only "
-                   "word-aligned sub-2^31 streams are packable)");
+    // One verdict per batch, over every address OR-ed together.
+    if ((addrs >> 31) != 0) [[unlikely]] {
+        // The regions reach past 2^31.  Replay the pass as records so
+        // the ingest rule can name the first that does not fit.
+        reset();
+        std::vector<trace::MemRef> refs(n);
+        for (std::uint64_t first = 0;; first += refs.size()) {
+            const std::size_t got = nextBatch(refs.data(), refs.size());
+            trace::ingestPacked(*this, first, refs.data(), got, out);
+            if (got < refs.size())
+                gaas_fatal("benchmark ", benchSpec.name,
+                           ": replay found no address past 2^31");
+        }
     }
     return produced;
 }

@@ -95,11 +95,11 @@ class SyntheticBenchmark : public trace::TraceSource
 
     /**
      * The same records as nextBatch(), emitted straight as packed
-     * words (the trace arena's storage format), or kNoPacked when
-     * the spec's regions reach past what the packed layout holds.
-     * A store burst that runs off a region's end past 2^31 -- which
-     * the region check cannot rule out -- is a structured
-     * ErrorCode::Internal error, not a truncated word.
+     * words (the trace arena's storage format).  An address at or
+     * above 2^31 -- a spec whose regions, or a store burst that runs
+     * off a region's end, reach past it -- is the ingest rule's
+     * SimError(TraceIO) naming the record (trace/source.hh), not a
+     * truncated word.
      */
     std::size_t nextBatchPacked(std::uint32_t *out,
                                 std::size_t n) override;
@@ -136,9 +136,6 @@ class SyntheticBenchmark : public trace::TraceSource
     std::uint64_t syscallThresh = 0;
     std::uint64_t loadThresh = 0;
     std::uint64_t dataThresh = 0;
-
-    /** Every region address fits the packed layout. */
-    bool packable = false;
 
     Count instructionsEmitted = 0;
     trace::MemRef pendingData;

@@ -58,16 +58,6 @@ class CodeModel
     /** Number of procedures generated. */
     std::size_t procedureCount() const { return procs.size(); }
 
-    /** Every instruction address lies below 2^31 (the packed
-     *  reference layout's reach; see trace/packed.hh). */
-    bool
-    packable() const
-    {
-        const Proc &last = procs.back();
-        return last.base + wordsToBytes(last.sizeWords) <=
-               Addr{1} << 31;
-    }
-
   private:
     /** Structure node kinds. */
     enum class NodeKind : std::uint8_t { Run, Loop, Call };

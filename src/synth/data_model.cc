@@ -168,30 +168,6 @@ DataModel::footprintWords() const
                params.arrayWords;
 }
 
-bool
-DataModel::packable() const
-{
-    // Region ends are word multiples, so an end at or below 2^31
-    // also bounds the same-line re-touch (within the 16-byte line of
-    // an address drawn below it).
-    constexpr Addr kReach = Addr{1} << 31;
-    const auto fits = [](Addr base, std::uint64_t words) {
-        return words <= (kReach - base) / kWordBytes;
-    };
-    if (params.arrayWords > kReach)
-        return false;
-    std::uint64_t array_end = 0;
-    for (const std::uint64_t base : arrayBaseWords)
-        array_end = std::max(array_end, base + params.arrayWords);
-    // The stack grows down from kStackTop; it must not wrap past 0.
-    return stackBaseOffset + params.stackWords <=
-               layout::kStackTop / kWordBytes &&
-           fits(layout::kGlobalBase, globalBaseOffset + globalWordCount) &&
-           fits(layout::kHeapBase,
-                heapBaseOffset + heapLineCount * params.heapLineWords) &&
-           fits(layout::kArrayBase, array_end);
-}
-
 Addr
 DataModel::stackAddr(bool is_store)
 {

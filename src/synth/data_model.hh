@@ -57,11 +57,6 @@ class DataModel
     /** Total data footprint in words across all regions. */
     std::uint64_t footprintWords() const;
 
-    /** Every address a region draws lies below 2^31 (the packed
-     *  reference layout's reach; see trace/packed.hh).  Store bursts
-     *  that run on from a drawn address are the caller's to check. */
-    bool packable() const;
-
   private:
     enum Region : unsigned { kStack = 0, kGlobal, kArray, kHeap };
 

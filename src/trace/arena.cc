@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <string_view>
 
@@ -16,40 +17,6 @@ namespace gaas::trace
 
 namespace
 {
-
-/**
- * Pack @p n records into @p out for arena storage (see
- * trace/packed.hh for the layout).  Returns false if any record does
- * not fit the 4-byte format, and the words written are then
- * meaningless: one verdict for the whole run, so the loop carries no
- * per-record error path.
- */
-bool
-packRun(const MemRef *refs, std::size_t n, std::uint32_t *out)
-{
-    bool ok = true;
-    for (std::size_t i = 0; i < n; ++i) {
-        ok &= packed::packable(refs[i]);
-        out[i] = packed::pack(refs[i]);
-    }
-    return ok;
-}
-
-/** Reject the first unpackable record of @p refs[0, n), which sits
- *  @p pos references into stream @p key. */
-[[noreturn]] void
-rejectUnpackable(const std::string &key, std::size_t pos,
-                 const MemRef *refs, std::size_t n)
-{
-    const MemRef *bad =
-        std::find_if_not(refs, refs + n, packed::packable);
-    gaas_error(ErrorCode::Internal, "trace arena cannot pack reference ",
-               pos + static_cast<std::size_t>(bad - refs),
-               " of stream '", key, "' (addr 0x", std::hex, bad->addr,
-               std::dec, ", kind ", refKindName(bad->kind),
-               "); only word-aligned sub-2^31 streams are "
-               "arena-able -- set GAAS_BENCH_ARENA=0");
-}
 
 constexpr std::size_t kUnknownPassLen =
     std::numeric_limits<std::size_t>::max();
@@ -134,24 +101,18 @@ ArenaStream::slot(bool &fresh)
 }
 
 std::size_t
-ArenaStream::generate(std::size_t n, std::vector<MemRef> &scratch)
+ArenaStream::generate(std::size_t n)
 {
     bool fresh = false;
     std::uint32_t *out = slot(fresh);
-    std::size_t got = TraceSource::kNoPacked;
-    if (packedGenerator) {
-        // Generators with a packed path (the synthetic benchmarks)
-        // write straight into the block.
+    std::size_t got = 0;
+    try {
         got = generator->nextBatchPacked(out, n);
-        packedGenerator = got != TraceSource::kNoPacked;
-    }
-    if (!packedGenerator) {
-        // Everything else is packed here, one verdict per run.
-        if (scratch.size() < n)
-            scratch.resize(n);
-        got = generator->nextBatch(scratch.data(), n);
-        if (!packRun(scratch.data(), got, out))
-            rejectUnpackable(streamKey, total, scratch.data(), got);
+    } catch (...) {
+        // The generator may have consumed the refused run, so a
+        // retry would publish the stream with it cut out.
+        failure = std::current_exception();
+        throw;
     }
     if (got == 0 && fresh) {
         // The pass ended on a block boundary: drop the empty block.
@@ -191,6 +152,8 @@ ArenaStream::grow(std::size_t want, bool wait)
         lock.lock();
     else if (!lock.try_lock())
         return false;
+    if (failure)
+        std::rethrow_exception(failure);
     if (done || total >= want)
         return true;
 
@@ -210,11 +173,10 @@ ArenaStream::grow(std::size_t want, bool wait)
         std::max({want, total * 2, kMinChunk}), passRefBound);
 
     const std::size_t before = total;
-    std::vector<MemRef> scratch;
     while (total < target) {
         const std::size_t ask = std::min(
             {kGenChunk, target - total, kBlockRefs - total % kBlockRefs});
-        if (generate(ask, scratch) < ask) {
+        if (generate(ask) < ask) {
             // The generator's pass ended: freeze the length and drop
             // the generator (replays come from the blocks).
             passLen.store(total, std::memory_order_release);
@@ -226,8 +188,8 @@ ArenaStream::grow(std::size_t want, bool wait)
     if (!done && total >= passRefBound) {
         // Landed exactly on the bound: probe for the pass end so a
         // reader at the bound cannot spin on an unknown pass length.
-        MemRef probe;
-        if (generator->nextBatch(&probe, 1) != 0) {
+        std::uint32_t probe;
+        if (generator->nextBatchPacked(&probe, 1) != 0) {
             gaas_error(ErrorCode::Internal, "trace arena stream '",
                        streamKey, "' exceeded its pass bound of ",
                        passRefBound, " references");
@@ -250,8 +212,9 @@ ArenaStream::grow(std::size_t want, bool wait)
     return true;
 }
 
+template <typename Out>
 std::size_t
-ArenaStream::read(std::size_t pos, MemRef *out, std::size_t n)
+ArenaStream::read(std::size_t pos, Out *out, std::size_t n)
 {
     std::size_t produced = 0;
     while (produced < n) {
@@ -266,8 +229,7 @@ ArenaStream::read(std::size_t pos, MemRef *out, std::size_t n)
                     std::min(take, kBlockRefs - off);
                 const std::uint32_t *data =
                     blocks[block].load(std::memory_order_relaxed);
-                for (std::size_t i = 0; i < run; ++i)
-                    out[produced + i] = packed::unpack(data[off + i]);
+                packed::copyOut(data + off, run, out + produced);
                 produced += run;
                 pos += run;
                 take -= run;
@@ -284,37 +246,10 @@ ArenaStream::read(std::size_t pos, MemRef *out, std::size_t n)
     return produced;
 }
 
-std::size_t
-ArenaStream::readPacked(std::size_t pos, std::uint32_t *out,
-                        std::size_t n)
-{
-    std::size_t produced = 0;
-    while (produced < n) {
-        const std::size_t pub =
-            published.load(std::memory_order_acquire);
-        if (pos < pub) {
-            std::size_t take = std::min(n - produced, pub - pos);
-            while (take > 0) {
-                const std::size_t block = pos / kBlockRefs;
-                const std::size_t off = pos % kBlockRefs;
-                const std::size_t run =
-                    std::min(take, kBlockRefs - off);
-                const std::uint32_t *data =
-                    blocks[block].load(std::memory_order_relaxed);
-                std::copy_n(data + off, run, out + produced);
-                produced += run;
-                pos += run;
-                take -= run;
-            }
-            continue;
-        }
-        // Same growth protocol as read() above.
-        if (passLen.load(std::memory_order_acquire) == pub)
-            break;
-        ensure(pos + (n - produced));
-    }
-    return produced;
-}
+template std::size_t ArenaStream::read(std::size_t, MemRef *,
+                                       std::size_t);
+template std::size_t ArenaStream::read(std::size_t, std::uint32_t *,
+                                       std::size_t);
 
 TraceArena &
 TraceArena::global()
@@ -434,7 +369,7 @@ ArenaSource::nextBatch(MemRef *out, std::size_t n)
 std::size_t
 ArenaSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
 {
-    const std::size_t got = stream->readPacked(pos, out, n);
+    const std::size_t got = stream->read(pos, out, n);
     pos += got;
     return got;
 }

@@ -10,7 +10,7 @@
  * references of a stream generates and publishes them once, every
  * other job replays a zero-copy view.
  *
- * Storage is a packed 4-bytes-per-reference layout (see arena.cc) in
+ * Storage is the packed 4-bytes-per-reference word (trace/packed.hh) in
  * fixed-size blocks whose pointer table is sized up front from the
  * stream's pass bound, so published data never moves:
  *
@@ -21,8 +21,9 @@
  *    (grow-on-demand with geometric high-water-mark chunks).
  *
  * Correctness contract: a stream's materialized content is exactly
- * the record sequence its generator would produce, so replay through
- * an ArenaSource is bit-identical to running the generator fresh.
+ * the packed words its generator's nextBatchPacked() would produce,
+ * so replay through an ArenaSource is bit-identical to running the
+ * generator fresh.
  */
 
 #ifndef GAAS_TRACE_ARENA_HH
@@ -30,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -114,18 +116,14 @@ class ArenaStream
     bool tryEnsure(std::size_t want);
 
     /**
-     * Copy up to @p n unpacked records starting at @p pos into
-     * @p out, growing the stream on demand.  Returns fewer than
-     * @p n only at the true end of the generator's pass.
+     * Copy up to @p n records starting at @p pos into @p out --
+     * raw packed words (trace/packed.hh), the simulate loop's replay
+     * path, or unpacked MemRefs -- growing the stream on demand.
+     * Returns fewer than @p n only at the true end of the
+     * generator's pass.
      */
-    std::size_t read(std::size_t pos, MemRef *out, std::size_t n);
-
-    /**
-     * read(), but copying the raw packed words (trace/packed.hh)
-     * without unpacking: the simulate loop's replay fast path.
-     */
-    std::size_t readPacked(std::size_t pos, std::uint32_t *out,
-                           std::size_t n);
+    template <typename Out>
+    std::size_t read(std::size_t pos, Out *out, std::size_t n);
 
     /** References published so far (high-water mark). */
     std::size_t publishedRefs() const
@@ -154,11 +152,10 @@ class ArenaStream
      *  (@p fresh: just now) (growth mutex held). */
     std::uint32_t *slot(bool &fresh);
 
-    /** Pull @p n records (within one block) from the generator into
-     *  the blocks, unpacked through @p scratch if it has no packed
-     *  path; @return the number pulled, short only at the pass end
-     *  (growth mutex held). */
-    std::size_t generate(std::size_t n, std::vector<MemRef> &scratch);
+    /** Pull @p n packed records (within one block) from the
+     *  generator into the blocks; @return the number pulled, short
+     *  only at the pass end (growth mutex held). */
+    std::size_t generate(std::size_t n);
 
     const std::string streamKey;
     const std::size_t passRefBound;
@@ -182,9 +179,8 @@ class ArenaStream
     std::function<std::unique_ptr<TraceSource>()> factory;
     std::unique_ptr<TraceSource> generator;
     bool generatorMade = false;
-    /** The generator emits packed words (nextBatchPacked); cleared
-     *  for good at its first kNoPacked. */
-    bool packedGenerator = true;
+    /** The generator's error, rethrown to every later grower. */
+    std::exception_ptr failure;
     bool done = false;
     std::size_t total = 0; //!< writer's mirror of `published`
     ///@}

@@ -93,8 +93,6 @@ std::size_t
 LoopSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
 {
     std::size_t produced = inner->nextBatchPacked(out, n);
-    if (produced == kNoPacked)
-        return kNoPacked;
     innerPos += produced;
     // Wrap exactly as nextBatch() does.
     while (produced < n) {

@@ -1,8 +1,9 @@
 /**
  * @file
- * The packed 4-byte reference word: the storage format of the trace
- * arena (trace/arena.hh) and the wire format of the packed replay
- * fast path (TraceSource::nextBatchPacked).
+ * The packed 4-byte reference word: the one representation the
+ * simulator ingests (TraceSource::nextBatchPacked), and the storage
+ * format of the trace arena (trace/arena.hh) and of the v3 stream's
+ * slots (trace/stream.hh).
  *
  * Layout, 4 bytes per record:
  *
@@ -10,11 +11,15 @@
  *   bits [2:1]   RefKind
  *   bit  [0]     syscall (Inst) / partialWord (Store)
  *
- * Every address the synthetic models emit is word aligned and below
- * 2^31 (layout::kStackTop = 0x7fff'0000 is the ceiling), so the
- * word index fits the 29 bits exactly.  The flag bit is shared:
- * syscall is only meaningful on Inst records and partialWord only on
- * Store records, which packable() checks.
+ * The word index holds addresses below 2^31, the MIPS user space
+ * the paper traces (layout::kStackTop = 0x7fff'0000 is the synthetic
+ * models' ceiling).  pack() keeps what the simulator reads: it
+ * word-aligns the address and drops a flag on a kind that gives it
+ * no meaning (syscall is only meaningful on Inst records and
+ * partialWord only on Store records), so the one flag bit is shared.
+ * packable() says whether a record survives that losslessly, which
+ * is what the v3 header's packable flag records.  Addresses at or
+ * above 2^31 are the ingest rule's to reject (trace/source.hh).
  *
  * The field extractors exist so the hot simulate loop can decode a
  * packed word straight into registers instead of round-tripping
@@ -24,6 +29,8 @@
 #ifndef GAAS_TRACE_PACKED_HH
 #define GAAS_TRACE_PACKED_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "trace/memref.hh"
@@ -40,11 +47,13 @@ packable(const MemRef &ref)
            (!ref.partialWord || ref.isStore());
 }
 
-/** Pack @p ref (the caller has checked packable()). */
+/** Pack @p ref, whose address lies below 2^31: bits [1:0] and a
+ *  flag its kind gives no meaning are dropped. */
 inline std::uint32_t
 pack(const MemRef &ref)
 {
-    const bool flag = ref.syscall || ref.partialWord;
+    const bool flag = (ref.syscall && ref.isInst()) ||
+                      (ref.partialWord && ref.isStore());
     return static_cast<std::uint32_t>(ref.addr >> 2) << 3 |
            static_cast<std::uint32_t>(ref.kind) << 1 |
            static_cast<std::uint32_t>(flag);
@@ -89,6 +98,22 @@ unpack(std::uint32_t word)
     ref.partialWord = flag && ref.kind == RefKind::Store;
     return ref;
 }
+
+/** @name Copy out of packed storage, as words or as records */
+///@{
+inline void
+copyOut(const std::uint32_t *words, std::size_t n, std::uint32_t *out)
+{
+    std::copy_n(words, n, out);
+}
+
+inline void
+copyOut(const std::uint32_t *words, std::size_t n, MemRef *out)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = unpack(words[i]);
+}
+///@}
 
 } // namespace gaas::trace::packed
 

@@ -6,6 +6,17 @@
  * pixie output to one input descriptor of the cache simulator; here
  * each benchmark (synthetic model or trace file) is one TraceSource
  * and the workload layer multiplexes among them.
+ *
+ * The simulator ingests one representation: packed 4-byte words
+ * (trace/packed.hh), pulled through nextBatchPacked().  Every source
+ * yields them, by the one ingest rule of ingestPacked(): addresses
+ * are word aligned, flags their kind gives no meaning are dropped,
+ * and an address at or above 2^31 -- kernel space on the paper's
+ * MIPS machine -- is a SimError(TraceIO).  None of the dropped
+ * detail reaches a simulation result: tags, set indexes, subblock
+ * valid bits and write-buffer matches all use address bits 2 and
+ * up, and the simulator reads syscall only on Inst records and
+ * partialWord only on Store records.
  */
 
 #ifndef GAAS_TRACE_SOURCE_HH
@@ -13,6 +24,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -58,23 +70,28 @@ class TraceSource
         return produced;
     }
 
-    /** nextBatchPacked() result of a source with no packed path. */
+    /**
+     * What nextBatchPacked() once returned for a source without a
+     * packed path.  No in-tree source returns it any more; it stays
+     * declared because the benchmark harness (perfbench/src/
+     * layers.cc) still names it.
+     */
     static constexpr std::size_t kNoPacked = ~std::size_t{0};
 
     /**
-     * Packed replay fast path: produce up to @p n records as packed
-     * 4-byte words (trace/packed.hh) -- the same records nextBatch()
-     * would produce, minus the per-record unpack.  Only sources that
-     * already hold packed storage (the arena view, and wrappers
-     * around it) implement this; everything else reports kNoPacked
-     * and the consumer falls back to nextBatch() for good.
+     * The simulator's ingest path: produce up to @p n records as
+     * packed 4-byte words (trace/packed.hh), normalised by
+     * ingestPacked() -- the records nextBatch() would produce,
+     * word aligned and stripped of meaningless flags.  The default
+     * pulls nextBatch() in runs and packs them; sources that hold
+     * packed words already (the arena view, the v3 stream) or can
+     * emit them directly (the synthetic generator) override it.
+     *
+     * @return the number of words produced; less than @p n only
+     *         when the trace is exhausted
      */
-    virtual std::size_t
-    nextBatchPacked(std::uint32_t *out, std::size_t n)
-    {
-        (void)out, (void)n;
-        return kNoPacked;
-    }
+    virtual std::size_t nextBatchPacked(std::uint32_t *out,
+                                        std::size_t n);
 
     /**
      * Discard the next @p n records, as if next() were called @p n
@@ -109,6 +126,25 @@ class TraceSource
     virtual std::string name() const = 0;
 };
 
+/** ingestPacked()'s @p first when the caller does not know where
+ *  in its stream the run starts. */
+inline constexpr std::uint64_t kUnknownRecord = ~std::uint64_t{0};
+
+/**
+ * The ingest rule: pack @p refs[0, n) into @p out with
+ * packed::pack, which word-aligns each address and drops the flags
+ * its kind gives no meaning.  An address at or above 2^31 does not
+ * fit the packed word and lies outside the MIPS user space the
+ * paper traces: it is a SimError(TraceIO) naming @p src and the
+ * record's index in its stream, @p first + i (unnamed when @p first
+ * is kUnknownRecord).  One verdict for the whole run, so the loop
+ * carries no per-record error branch; the scan for the culprit runs
+ * only on failure.
+ */
+void ingestPacked(const TraceSource &src, std::uint64_t first,
+                  const MemRef *refs, std::size_t n,
+                  std::uint32_t *out);
+
 /**
  * An in-memory trace, mainly for unit tests and for capturing short
  * generator outputs for inspection.
@@ -135,6 +171,15 @@ class VectorSource : public TraceSource
         const std::size_t take = std::min(n, records.size() - pos);
         std::copy_n(records.begin() + static_cast<std::ptrdiff_t>(pos),
                     take, out);
+        pos += take;
+        return take;
+    }
+
+    std::size_t
+    nextBatchPacked(std::uint32_t *out, std::size_t n) override
+    {
+        const std::size_t take = std::min(n, records.size() - pos);
+        ingestPacked(*this, pos, records.data() + pos, take, out);
         pos += take;
         return take;
     }

@@ -12,8 +12,6 @@ StreamSource::StreamSource(const std::string &path,
                            StreamOptions options)
     : file(path)
 {
-    packed = file.packable();
-
     std::size_t budget = options.memoryBudgetBytes;
     if (budget == 0) {
         budget = static_cast<std::size_t>(envU64(
@@ -21,37 +19,34 @@ StreamSource::StreamSource(const std::string &path,
                  (1u << 20);
     }
 
-    // One slot holds one compressed payload plus one decoded block.
-    // The payload capacity comes from the seek table (largest block
-    // in this file), the decoded side from the fixed per-block
-    // record population.
-    const std::size_t decodedBytes =
-        static_cast<std::size_t>(file.blockRefs()) *
-        (packed ? sizeof(std::uint32_t) : sizeof(MemRef));
+    // One slot holds one compressed payload plus one block of packed
+    // words.  The payload capacity comes from the seek table (largest
+    // block in this file), the packed side from the fixed per-block
+    // record population.  A file whose packable flag is clear also
+    // needs the reader's one MemRef block to decode into before
+    // packing.
+    const std::size_t blockRefs = file.blockRefs();
     const std::size_t slotBytes =
-        file.maxPayloadBytes() + decodedBytes;
-    const std::size_t minBytes = 2 * slotBytes;
+        file.maxPayloadBytes() + blockRefs * sizeof(std::uint32_t);
+    const std::size_t scratchBytes =
+        file.packable() ? 0 : blockRefs * sizeof(MemRef);
+    const std::size_t minBytes = 2 * slotBytes + scratchBytes;
     if (budget < minBytes) {
         gaas_error(ErrorCode::TraceIO, "streaming ", path,
                    " needs at least ", (minBytes >> 20) + 1,
-                   " MiB (2 slots of ", slotBytes,
-                   " bytes) but the ceiling (", kStreamBudgetEnv,
+                   " MiB (2 slots of ", slotBytes, " bytes",
+                   scratchBytes ? " and a decode block" : "",
+                   ") but the ceiling (", kStreamBudgetEnv,
                    " or the workload's per-stream share) allows "
                    "only ", budget, " bytes");
     }
     // The ring is as deep as the lookahead needs; the ceiling only
     // caps it (and a ceiling under two slots was rejected above).
     const std::size_t count = std::min<std::size_t>(
-        kStreamLookaheadBlocks, slotBytes ? budget / slotBytes : 2);
+        kStreamLookaheadBlocks,
+        slotBytes ? (budget - scratchBytes) / slotBytes : 2);
     slots.resize(count);
-    ringBytes = count * slotBytes;
-    for (Slot &slot : slots) {
-        slot.payload.reserve(file.maxPayloadBytes());
-        if (packed)
-            slot.packedRefs.reserve(file.blockRefs());
-        else
-            slot.refs.reserve(file.blockRefs());
-    }
+    ringBytes = count * slotBytes + scratchBytes;
 
     reader = std::thread([this] { readerLoop(); });
 }
@@ -70,6 +65,17 @@ StreamSource::~StreamSource()
 void
 StreamSource::readerLoop()
 {
+    // Every slot is the reader's until it publishes it, so the reader
+    // sizes the ring (and the decode block of a file whose packable
+    // flag is clear) itself.  That keeps large allocations off the
+    // constructing thread, where their system calls, contending with
+    // other streams' readers, cost workload set-up milliseconds.
+    for (Slot &slot : slots) {
+        slot.payload.reserve(file.maxPayloadBytes());
+        slot.packedRefs.reserve(file.blockRefs());
+    }
+    std::vector<MemRef> escapeRefs(file.packable() ? 0 : file.blockRefs());
+
     const std::uint64_t blockCount = file.blockCount();
     const std::size_t count = slots.size();
     std::unique_lock<std::mutex> lock(m);
@@ -92,16 +98,20 @@ StreamSource::readerLoop()
             const std::uint32_t records = file.blockRecords(b);
             const v3::BlockContext ctx{&file.path(), b,
                                        file.payloadOffset(b)};
-            if (packed) {
-                slot.packedRefs.resize(records);
+            slot.packedRefs.resize(records);
+            if (escapeRefs.empty()) {
                 v3::decodeBlockPacked(slot.payload.data(),
                                       slot.payload.size(), records,
                                       slot.packedRefs.data(), ctx);
             } else {
-                slot.refs.resize(records);
+                // Unaligned or escaped records: decode in full, then
+                // pack by the ingest rule.
                 v3::decodeBlock(slot.payload.data(),
                                 slot.payload.size(), records,
-                                slot.refs.data(), ctx);
+                                escapeRefs.data(), ctx);
+                ingestPacked(*this, file.firstRecordOf(b),
+                             escapeRefs.data(), records,
+                             slot.packedRefs.data());
             }
             slot.records = records;
         } catch (const SimError &err) {
@@ -199,8 +209,9 @@ StreamSource::next(MemRef &ref)
     return nextBatch(&ref, 1) == 1;
 }
 
+template <typename Out>
 std::size_t
-StreamSource::nextBatch(MemRef *out, std::size_t n)
+StreamSource::pull(Out *out, std::size_t n)
 {
     std::size_t produced = 0;
     const std::uint64_t total = file.recordCount();
@@ -210,16 +221,8 @@ StreamSource::nextBatch(MemRef *out, std::size_t n)
             pos - file.firstRecordOf(heldBlock));
         const std::size_t take =
             std::min(n - produced, held->records - offset);
-        if (packed) {
-            const std::uint32_t *words =
-                held->packedRefs.data() + offset;
-            for (std::size_t i = 0; i < take; ++i)
-                out[produced + i] = packed::unpack(words[i]);
-        } else {
-            std::copy_n(held->refs.begin() +
-                            static_cast<std::ptrdiff_t>(offset),
-                        take, out + produced);
-        }
+        packed::copyOut(held->packedRefs.data() + offset, take,
+                        out + produced);
         pos += take;
         produced += take;
         if (offset + take == held->records)
@@ -229,27 +232,15 @@ StreamSource::nextBatch(MemRef *out, std::size_t n)
 }
 
 std::size_t
+StreamSource::nextBatch(MemRef *out, std::size_t n)
+{
+    return pull(out, n);
+}
+
+std::size_t
 StreamSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
 {
-    if (!packed)
-        return kNoPacked;
-    std::size_t produced = 0;
-    const std::uint64_t total = file.recordCount();
-    while (produced < n && pos < total) {
-        ensureHeld();
-        const auto offset = static_cast<std::size_t>(
-            pos - file.firstRecordOf(heldBlock));
-        const std::size_t take =
-            std::min(n - produced, held->records - offset);
-        std::copy_n(held->packedRefs.begin() +
-                        static_cast<std::ptrdiff_t>(offset),
-                    take, out + produced);
-        pos += take;
-        produced += take;
-        if (offset + take == held->records)
-            release();
-    }
-    return produced;
+    return pull(out, n);
 }
 
 std::size_t

@@ -6,17 +6,21 @@
  * of the file into a small ring of slots while the simulator's hot
  * loop consumes the current one, so multi-billion-reference traces
  * -- the paper's 2.5 G-ref pixie regime -- replay without ever
- * materializing in RAM.  Decoded blocks are handed over through the
- * packed-batch interface (nextBatchPacked) when the file's records
- * all fit the packed u32 layout, which is the same fast path the
- * in-memory arena uses; otherwise the MemRef batch path serves.
+ * materializing in RAM.  Every slot holds its block as packed u32
+ * words (trace/packed.hh), the representation the simulator ingests
+ * through nextBatchPacked and the in-memory arena stores.  A file
+ * whose header packable flag is set decodes straight into them; any
+ * other file (unaligned addresses, flags on the wrong kinds) decodes
+ * into one reader-owned MemRef block and is packed from there by the
+ * ingest rule of trace/source.hh, so a record at or above 2^31 fails
+ * the stream like any other read error.
  *
  * Memory model: the slot ring is sized by lookahead, like a pipe
  * buffer that keeps the producer just ahead of the consumer, not by
  * the memory on offer.  It holds kStreamLookaheadBlocks slots (one
- * compressed payload + one decoded block each): the block the
- * simulator is draining, the next one, and slack for a reader that
- * loses the host for a moment.  The hard byte ceiling --
+ * compressed payload + one block of packed words each): the block
+ * the simulator is draining, the next one, and slack for a reader
+ * that loses the host for a moment.  The hard byte ceiling --
  * StreamOptions::memoryBudgetBytes, defaulting to the
  * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset) -- only
  * caps that depth; a ceiling too small for even two slots is a
@@ -32,10 +36,10 @@
  * a slot only while it is marked full, and the producer writes one
  * only while it is free.
  *
- * The stream is bit-identical to TraceV3Reader over the same file,
- * and -- for a file written from a synth generator -- to the arena
- * replay of that generator, which the stream-vs-arena golden tests
- * pin.
+ * The stream is bit-identical to TraceV3Reader's packed words over
+ * the same file, and -- for a file written from a synth generator --
+ * to the arena replay of that generator, which the stream-vs-arena
+ * golden tests pin.
  */
 
 #ifndef GAAS_TRACE_STREAM_HH
@@ -104,11 +108,9 @@ class StreamSource : public TraceSource
 
     std::uint64_t recordCount() const { return file.recordCount(); }
 
-    /** True if replay runs through the packed u32 fast path. */
-    bool packedCapable() const { return packed; }
-
-    /** Bytes the slot ring holds: slotCount() x one slot's bytes
-     *  (<= the ceiling). */
+    /** Bytes the slot ring holds: slotCount() x one slot's bytes,
+     *  plus the reader's decode block for a file whose packable
+     *  flag is clear (<= the ceiling). */
     std::size_t bufferBytes() const { return ringBytes; }
 
     /** Slots in the ring: kStreamLookaheadBlocks, or fewer (never
@@ -123,7 +125,6 @@ class StreamSource : public TraceSource
     {
         std::vector<unsigned char> payload;
         std::vector<std::uint32_t> packedRefs;
-        std::vector<MemRef> refs;
         std::uint64_t block = 0;
         std::uint32_t records = 0;
         bool full = false;
@@ -143,8 +144,11 @@ class StreamSource : public TraceSource
     /** Make the slot holding pos's block held; false at EOF. */
     void ensureHeld();
 
+    /** The batch loop behind nextBatch and nextBatchPacked. */
+    template <typename Out>
+    std::size_t pull(Out *out, std::size_t n);
+
     V3File file;
-    bool packed = false;
     std::size_t ringBytes = 0;
 
     // Consumer-thread-only state.

@@ -647,8 +647,9 @@ TraceV3Reader::next(MemRef &ref)
     return nextBatch(&ref, 1) == 1;
 }
 
+template <typename Emit>
 std::size_t
-TraceV3Reader::nextBatch(MemRef *out, std::size_t n)
+TraceV3Reader::pull(std::size_t n, Emit emit)
 {
     std::size_t produced = 0;
     const std::uint64_t total = src.recordCount();
@@ -660,13 +661,29 @@ TraceV3Reader::nextBatch(MemRef *out, std::size_t n)
             static_cast<std::size_t>(pos - src.firstRecordOf(b));
         const std::size_t take = std::min(
             n - produced, refs.size() - offset);
-        std::copy_n(refs.begin() +
-                        static_cast<std::ptrdiff_t>(offset),
-                    take, out + produced);
+        emit(refs.data() + offset, take, produced);
         pos += take;
         produced += take;
     }
     return produced;
+}
+
+std::size_t
+TraceV3Reader::nextBatch(MemRef *out, std::size_t n)
+{
+    return pull(n, [out](const MemRef *run, std::size_t take,
+                         std::size_t at) {
+        std::copy_n(run, take, out + at);
+    });
+}
+
+std::size_t
+TraceV3Reader::nextBatchPacked(std::uint32_t *out, std::size_t n)
+{
+    return pull(n, [this, out](const MemRef *run, std::size_t take,
+                               std::size_t at) {
+        ingestPacked(*this, pos, run, take, out + at);
+    });
 }
 
 std::size_t

@@ -291,6 +291,8 @@ class TraceV3Reader : public TraceSource
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *out, std::size_t n) override;
+    std::size_t nextBatchPacked(std::uint32_t *out,
+                                std::size_t n) override;
     std::size_t skip(std::size_t n) override;
     void reset() override;
     std::string name() const override;
@@ -300,6 +302,12 @@ class TraceV3Reader : public TraceSource
 
   private:
     void loadBlock(std::uint64_t b);
+
+    /** The batch loop behind nextBatch and nextBatchPacked: hands
+     *  @p emit each run of decoded records (run, length, offset in
+     *  the batch) before the cursor moves past it. */
+    template <typename Emit>
+    std::size_t pull(std::size_t n, Emit emit);
 
     V3File src;
     std::vector<unsigned char> payload;

@@ -172,24 +172,6 @@ TEST(ArenaStream, ReplayMatchesGeneratorBitExactly)
     EXPECT_EQ(drain(view), expected);
 }
 
-/** A VectorSource that also emits its records packed, as the
- *  synthetic generator does. */
-class PackedVectorSource : public VectorSource
-{
-  public:
-    using VectorSource::VectorSource;
-
-    std::size_t
-    nextBatchPacked(std::uint32_t *out, std::size_t n) override
-    {
-        std::vector<MemRef> refs(n);
-        const std::size_t got = nextBatch(refs.data(), n);
-        for (std::size_t i = 0; i < got; ++i)
-            out[i] = packed::pack(refs[i]);
-        return got;
-    }
-};
-
 TEST(ArenaStream, PackedGeneratorFillsBlocksAcrossTheirEdges)
 {
     // A synthetic stream longer than one block arrives through the
@@ -220,7 +202,7 @@ TEST(ArenaStream, PackedPassEndingOnABlockEdgeKeepsNoEmptyBlock)
     TraceArena arena;
     ArenaStream *stream = arena.acquire(
         "edge", 2 * records.size(), 0, [&records] {
-            return std::make_unique<PackedVectorSource>("edge", records);
+            return std::make_unique<VectorSource>("edge", records);
         });
     stream->ensure(2 * records.size());
     EXPECT_EQ(stream->passRefs(), records.size());
@@ -232,11 +214,20 @@ TEST(ArenaStream, PackedPassEndingOnABlockEdgeKeepsNoEmptyBlock)
 
 TEST(ArenaStream, SyntheticStreamPast2To31IsRejectedAtItsReference)
 {
-    // A spec whose arrays reach past 2^31 has no packed path, so the
-    // arena packs its records itself and names the first it cannot.
+    // A spec whose arrays reach past 2^31: the generator's packed
+    // path names the first record the packed word cannot hold, which
+    // is also its index in the stream.
     synth::BenchmarkSpec spec = synth::workloadSpecs(8)[3];
     spec.data.arrayWords = 200'000'000;
     spec.simInstructions = 100'000;
+    std::size_t index = 0;
+    {
+        auto fresh = synth::makeBenchmark(spec);
+        MemRef ref;
+        while (fresh->next(ref) && (ref.addr >> 31) == 0)
+            ++index;
+        ASSERT_NE(ref.addr >> 31, 0u);
+    }
     TraceArena arena;
     ArenaStream *stream = arena.acquire(
         "wide", 2 * spec.simInstructions, 0,
@@ -245,8 +236,10 @@ TEST(ArenaStream, SyntheticStreamPast2To31IsRejectedAtItsReference)
         stream->ensure(2 * spec.simInstructions);
         FAIL() << "an address past 2^31 was packed";
     } catch (const SimError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Internal);
-        EXPECT_NE(std::string(e.what()).find("of stream 'wide'"),
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_NE(std::string(e.what()).find(
+                      "'" + spec.name + "' record " +
+                      std::to_string(index) + ":"),
                   std::string::npos)
             << e.what();
     }
@@ -446,21 +439,22 @@ TEST(TraceArena, AcquireMovesPastAStreamAnotherThreadIsGrowing)
 
 TEST(ArenaStream, RejectsUnpackableReferences)
 {
-    // An unaligned or >= 2^31 address cannot be packed.  The bad
-    // record sits mid-block, on the last slot of the first block and
-    // on the first slot of the second, so every case of the
-    // run-at-a-time packing names the exact record.
+    // An address at or above 2^31 cannot be packed; an unaligned one
+    // is word aligned by the ingest rule.  The record sits mid-block,
+    // on the last slot of the first block and on the first slot of
+    // the second, so every case of the run-at-a-time packing is hit.
     struct Case
     {
         std::size_t pos;
-        MemRef bad;
-        const char *addr;
+        MemRef odd;
+        const char *addr; //!< rejected at; nullptr: aligned instead
     };
     constexpr std::size_t kBlock = ArenaStream::kBlockRefs;
     const Case cases[] = {
-        {1000, instRef(0x0040'0002), "0x400002"},
+        {1000, instRef(0x0040'0002), nullptr},
         {kBlock - 1, loadRef(0x8000'0000), "0x80000000"},
-        {kBlock, storeRef(0x1000'0001), "0x10000001"},
+        {kBlock, storeRef(0x1000'0001), nullptr},
+        {kBlock, storeRef(0xffff'fffc), "0xfffffffc"},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.pos);
@@ -468,26 +462,65 @@ TEST(ArenaStream, RejectsUnpackableReferences)
         records.reserve(kBlock + 16);
         for (std::size_t i = 0; i < kBlock + 16; ++i)
             records.push_back(instRef(0x0040'0000 + 4 * i));
-        records[c.pos] = c.bad;
+        records[c.pos] = c.odd;
 
         TraceArena arena;
         ArenaStream *stream =
             arena.acquire("bad", records.size(), 0, [&records] {
                 return std::make_unique<VectorSource>("bad", records);
             });
+        if (!c.addr) {
+            ArenaSource view(stream, "view");
+            records[c.pos].addr &= ~Addr{3};
+            EXPECT_EQ(drain(view), records);
+            continue;
+        }
         try {
             stream->ensure(records.size());
-            ADD_FAILURE() << "unpackable reference was accepted";
+            ADD_FAILURE() << "an address past 2^31 was accepted";
         } catch (const SimError &e) {
-            EXPECT_EQ(e.code(), ErrorCode::Internal);
+            EXPECT_EQ(e.code(), ErrorCode::TraceIO);
             const std::string what = e.what();
-            EXPECT_NE(what.find("reference " + std::to_string(c.pos) +
-                                " of stream 'bad'"),
+            EXPECT_NE(what.find("'bad' record " +
+                                std::to_string(c.pos) + ":"),
                       std::string::npos)
                 << what;
             EXPECT_NE(what.find(c.addr), std::string::npos) << what;
         }
         // Nothing of the failed growth step is published.
+        EXPECT_EQ(stream->publishedRefs(), 0u);
+    }
+}
+
+TEST(ArenaStream, RejectionIsStickyForLaterReaders)
+{
+    // A stream whose growth was refused stays refused: a later
+    // reader (another sweep job sharing the stream) gets the same
+    // error instead of a stream with the refused run cut out.  The
+    // generator takes the default packed path, which has consumed
+    // the run by the time the ingest rule refuses it.
+    std::vector<MemRef> records;
+    for (std::size_t i = 0; i < 3 * ArenaStream::kBlockRefs; ++i)
+        records.push_back(instRef(0x0040'0000 + 4 * (i % 4096)));
+    records[1000] = loadRef(0x8000'0000);
+    TraceArena arena;
+    ArenaStream *stream =
+        arena.acquire("sticky", records.size(), 0, [&records] {
+            return std::make_unique<MixSource>(
+                std::make_unique<VectorSource>("sticky", records));
+        });
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        SCOPED_TRACE(attempt);
+        ArenaSource view(stream, "view");
+        try {
+            drain(view);
+            ADD_FAILURE() << "an address past 2^31 was replayed";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+            EXPECT_NE(std::string(e.what()).find("0x80000000"),
+                      std::string::npos)
+                << e.what();
+        }
         EXPECT_EQ(stream->publishedRefs(), 0u);
     }
 }

@@ -171,6 +171,89 @@ TEST(HotCore, SpecializedMatchesGenericOnStandardWorkload)
     }
 }
 
+/**
+ * randomStream with the noise a raw trace may carry: byte offsets
+ * on instruction, load and store addresses (up to just below 2^31),
+ * and stray flags on kinds they mean nothing for (syscall on data
+ * records, partialWord on instructions and loads).
+ */
+std::vector<trace::MemRef>
+noisyStream(std::uint64_t seed, std::size_t instructions)
+{
+    Rng rng(seed ^ 0x5a5a);
+    std::vector<trace::MemRef> refs = randomStream(seed, instructions);
+    for (trace::MemRef &ref : refs) {
+        if (rng.nextDouble() < 0.01)
+            ref.addr = (Addr{1} << 31) - 4 * (1 + rng.nextBounded(64));
+        ref.addr |= rng.nextBounded(4);
+        if (ref.isData())
+            ref.syscall = rng.nextDouble() < 0.05;
+        if (!ref.isStore())
+            ref.partialWord = rng.nextDouble() < 0.05;
+    }
+    return refs;
+}
+
+/** @p refs as the packed word keeps them: addresses word aligned,
+ *  flags only where their kind gives them a meaning. */
+std::vector<trace::MemRef>
+normalised(std::vector<trace::MemRef> refs)
+{
+    for (trace::MemRef &ref : refs) {
+        ref.addr &= ~Addr{3};
+        ref.syscall = ref.syscall && ref.isInst();
+        ref.partialWord = ref.partialWord && ref.isStore();
+    }
+    return refs;
+}
+
+TEST(HotCore, RawReferencesMatchTheirNormalisedCopy)
+{
+    // The simulator ignores address bits [1:0] (tags and set indexes
+    // use line bits, the subblock valid mask starts at bit 2, the
+    // write buffer matches by line) and flags on kinds they do not
+    // apply to, so normalising at ingest cannot move a result.
+    constexpr std::size_t kInstructions = 6'000;
+    const auto workload = [](bool normalise) {
+        Workload wl;
+        for (const std::uint64_t seed : {3ull, 77ull, 512ull}) {
+            auto refs = noisyStream(seed, kInstructions);
+            if (normalise)
+                refs = normalised(std::move(refs));
+            const std::string name = "noisy" + std::to_string(seed);
+            wl.add(std::make_unique<trace::VectorSource>(
+                       name, std::move(refs)),
+                   1.3, name);
+        }
+        return wl;
+    };
+    for (const unsigned assoc : {1u, 2u}) {
+        for (const WritePolicy policy : kPolicies) {
+            for (const bool generic : {false, true}) {
+                SystemConfig cfg = configFor(assoc, policy);
+                cfg.timeSliceCycles = 4'000;
+                SCOPED_TRACE(std::string("policy ") +
+                             writePolicyName(policy) + " assoc " +
+                             std::to_string(assoc) +
+                             (generic ? " generic" : " specialised"));
+                Simulator raw(cfg, workload(false));
+                Simulator clean(cfg, workload(true));
+                raw.setForceGenericPath(generic);
+                clean.setForceGenericPath(generic);
+                const SimResult a = raw.run(20'000, 1'000);
+                const SimResult b = clean.run(20'000, 1'000);
+                EXPECT_GT(a.syscallSwitches, 0u);
+                EXPECT_EQ(a.instructions, b.instructions);
+                EXPECT_EQ(a.cycles, b.cycles);
+                EXPECT_EQ(a.cpuStallCycles, b.cpuStallCycles);
+                EXPECT_EQ(a.contextSwitches, b.contextSwitches);
+                EXPECT_EQ(a.syscallSwitches, b.syscallSwitches);
+                EXPECT_EQ(dumpText(a), dumpText(b));
+            }
+        }
+    }
+}
+
 TEST(HotCore, MixedGeometryFallsBackToGeneric)
 {
     SystemConfig cfg = configFor(1, WritePolicy::WriteBack);

@@ -17,6 +17,7 @@
 #include "core/stats_dump.hh"
 #include "core/workload.hh"
 #include "trace/source.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::core
@@ -109,7 +110,33 @@ TEST(Simulator, MalformedTraceIsFatal)
     // A data reference with no preceding instruction.
     std::vector<trace::MemRef> refs = {trace::loadRef(0x1000)};
     Simulator sim(baseline(), vectorWorkload(refs));
-    EXPECT_THROW(sim.run(10), FatalError);
+    try {
+        sim.run(10);
+        FAIL() << "a malformed trace was simulated";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+    }
+}
+
+TEST(Simulator, AddressPast2To31IsATraceIoErrorNamingTheRecord)
+{
+    // The ingest rule (trace/source.hh): the packed word holds the
+    // MIPS user space below 2^31, and a record outside it is refused
+    // by index, not truncated.
+    std::vector<trace::MemRef> refs;
+    for (int i = 0; i < 600; ++i)
+        refs.push_back(trace::instRef(0x40'0000 + 4 * i));
+    refs[300] = trace::loadRef(Addr{1} << 31);
+    Simulator sim(baseline(), vectorWorkload(refs));
+    try {
+        sim.run(1'000);
+        FAIL() << "an address past 2^31 was simulated";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_NE(std::string(e.what()).find("'vec' record 300:"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Simulator, StopsWhenNonLoopingTraceEnds)

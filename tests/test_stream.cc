@@ -15,12 +15,14 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/journal.hh"
+#include "core/simulator.hh"
 #include "core/stats_dump.hh"
 #include "core/sweep.hh"
 #include "synth/benchmark.hh"
@@ -76,17 +78,36 @@ packableTrace(std::size_t n)
     return refs;
 }
 
-/** packableTrace plus escape-token records: unaligned addresses and
- *  addresses past the 2^31 packed-layout ceiling. */
+/** packableTrace plus unaligned records, which force the escape
+ *  token and clear the packable flag but stream by the ingest rule. */
 std::vector<MemRef>
-escapeTrace(std::size_t n)
+unalignedTrace(std::size_t n)
 {
     std::vector<MemRef> refs = packableTrace(n);
     for (std::size_t i = 7; i < refs.size(); i += 13)
         refs[i] = loadRef(0x1000'0001 + 9 * static_cast<Addr>(i));
+    return refs;
+}
+
+/** unalignedTrace plus addresses past 2^31, which the ingest rule
+ *  rejects. */
+std::vector<MemRef>
+escapeTrace(std::size_t n)
+{
+    std::vector<MemRef> refs = unalignedTrace(n);
     for (std::size_t i = 11; i < refs.size(); i += 29)
         refs[i] = storeRef((Addr{1} << 40) + 4 * static_cast<Addr>(i));
     return refs;
+}
+
+/** @p refs as the packed word keeps them (trace/packed.hh). */
+std::vector<MemRef>
+normalised(const std::vector<MemRef> &refs)
+{
+    std::vector<MemRef> out;
+    for (const MemRef &ref : refs)
+        out.push_back(packed::unpack(packed::pack(ref)));
+    return out;
 }
 
 std::vector<MemRef>
@@ -173,34 +194,6 @@ TEST_F(StreamTest, DigestIsContentNotName)
     EXPECT_NE(v3FileInfo(a).digest, v3FileInfo(c).digest);
 }
 
-TEST_F(StreamTest, ReaderSkipMatchesDiscardedReads)
-{
-    // Mirror of LoopSource.SkipMatchesDiscardedReads: skip(n) must
-    // land exactly where n discarded reads would -- inside the
-    // current block, on a block boundary, across several blocks --
-    // from a cold reader and mid-stream.
-    const auto refs = packableTrace(200);
-    const std::string path = writeV3("skip.v3", refs, 32);
-
-    for (std::size_t pre : {std::size_t{0}, std::size_t{3},
-                            std::size_t{50}}) {
-        for (std::size_t skip :
-             {std::size_t{0}, std::size_t{1}, std::size_t{31},
-              std::size_t{32}, std::size_t{33}, std::size_t{95},
-              std::size_t{149}}) {
-            TraceV3Reader skipped(path);
-            TraceV3Reader read(path);
-            (void)collect(skipped, pre);
-            (void)collect(read, pre);
-            ASSERT_EQ(skipped.skip(skip), skip)
-                << "pre " << pre << " skip " << skip;
-            (void)collect(read, skip);
-            EXPECT_EQ(drainAll(skipped), drainAll(read))
-                << "pre " << pre << " skip " << skip;
-        }
-    }
-}
-
 TEST_F(StreamTest, ReaderSkipClampsAtEof)
 {
     const auto refs = packableTrace(100);
@@ -249,13 +242,11 @@ TEST_F(StreamTest, StreamPackedPathUnpacksIdentically)
     const std::string path = writeV3("packed.v3", refs, 64);
 
     StreamSource stream(path);
-    ASSERT_TRUE(stream.packedCapable());
     std::vector<std::uint32_t> words(37);
     std::vector<MemRef> got;
     for (;;) {
         const std::size_t n =
             stream.nextBatchPacked(words.data(), words.size());
-        ASSERT_NE(n, TraceSource::kNoPacked);
         for (std::size_t i = 0; i < n; ++i)
             got.push_back(packed::unpack(words[i]));
         if (n < words.size())
@@ -265,17 +256,54 @@ TEST_F(StreamTest, StreamPackedPathUnpacksIdentically)
     EXPECT_GT(stream.blocksDecoded(), 0u);
 }
 
-TEST_F(StreamTest, NonPackableStreamUsesMemRefPath)
+TEST_F(StreamTest, NonPackableStreamPacksByTheIngestRule)
 {
-    const auto refs = escapeTrace(300);
+    // A file whose packable flag is clear streams through the same
+    // packed slots, each record normalised as the ingest rule packs
+    // it: the packed words equal the reader's.
+    const auto refs = unalignedTrace(300);
     const std::string path = writeV3("np.v3", refs, 64);
+    ASSERT_FALSE(v3FileInfo(path).packable());
 
     StreamSource stream(path);
-    EXPECT_FALSE(stream.packedCapable());
-    std::uint32_t word;
-    EXPECT_EQ(stream.nextBatchPacked(&word, 1),
-              TraceSource::kNoPacked);
-    EXPECT_EQ(drainAll(stream), refs);
+    EXPECT_EQ(drainAll(stream), normalised(refs));
+    stream.reset();
+    TraceV3Reader reader(path);
+    std::vector<std::uint32_t> got(refs.size() + 1);
+    std::vector<std::uint32_t> want(refs.size() + 1);
+    ASSERT_EQ(stream.nextBatchPacked(got.data(), got.size()),
+              refs.size());
+    ASSERT_EQ(reader.nextBatchPacked(want.data(), want.size()),
+              refs.size());
+    EXPECT_EQ(got, want);
+}
+
+TEST_F(StreamTest, AddressPast2To31FailsTheStreamAtItsRecord)
+{
+    // An address at or above 2^31 fails the stream through the
+    // reader thread's error path, naming the record; so does the
+    // same file through the block-at-a-time reader.
+    auto refs = packableTrace(300);
+    refs[150] = loadRef(0x8000'0000);
+    const std::string path = writeV3("high.v3", refs, 64);
+
+    StreamSource stream(path);
+    TraceV3Reader reader(path);
+    for (TraceSource *src :
+         std::initializer_list<TraceSource *>{&stream, &reader}) {
+        std::vector<std::uint32_t> words(refs.size());
+        try {
+            src->nextBatchPacked(words.data(), words.size());
+            ADD_FAILURE() << src->name() << " packed 0x80000000";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+            const std::string what = e.what();
+            EXPECT_NE(what.find("record 150"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("0x80000000"), std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST_F(StreamTest, StreamSkipMatchesDiscardedReads)
@@ -373,49 +401,59 @@ TEST_F(StreamTest, MinimalCeilingStillDrainsWithTwoSlots)
     EXPECT_EQ(drainAll(stream), refs);
 }
 
-/** One ring slot's bytes: a compressed payload plus a decoded block. */
+/** One ring slot's bytes: a compressed payload plus a block of
+ *  packed words. */
 std::size_t
 slotBytesOf(const std::string &path)
 {
     const V3File file(path);
     return file.maxPayloadBytes() +
-           std::size_t{file.blockRefs()} *
-               (file.packable() ? sizeof(std::uint32_t)
-                                : sizeof(MemRef));
+           std::size_t{file.blockRefs()} * sizeof(std::uint32_t);
 }
 
 TEST_F(StreamTest, RingDepthIsTheLookaheadNotTheCeiling)
 {
-    // A roomy ceiling buys no depth past the lookahead, on either
-    // replay path; the ceiling only caps it.
+    // A roomy ceiling buys no depth past the lookahead, for a
+    // packable file and for an unaligned one (which adds the
+    // reader's decode block); the ceiling only caps it.
     for (const bool packable : {true, false}) {
+        const auto refs =
+            packable ? packableTrace(2000) : unalignedTrace(2000);
         const std::string path =
-            writeV3(packable ? "deep.v3" : "deep-np.v3",
-                    packable ? packableTrace(2000) : escapeTrace(2000),
-                    64);
+            writeV3(packable ? "deep.v3" : "deep-np.v3", refs, 64);
+        ASSERT_EQ(v3FileInfo(path).packable(), packable);
         const std::size_t slotBytes = slotBytesOf(path);
+        const std::size_t scratchBytes =
+            packable ? 0 : 64 * sizeof(MemRef);
         for (const std::size_t ceiling :
              {std::size_t{0}, std::size_t{64} << 20,
               (kStreamLookaheadBlocks + 5) * slotBytes}) {
             StreamOptions options;
             options.memoryBudgetBytes = ceiling;
             StreamSource stream(path, options);
-            EXPECT_EQ(stream.packedCapable(), packable);
             EXPECT_EQ(stream.slotCount(), kStreamLookaheadBlocks)
                 << "ceiling " << ceiling;
             EXPECT_EQ(stream.bufferBytes(),
-                      kStreamLookaheadBlocks * slotBytes)
+                      kStreamLookaheadBlocks * slotBytes + scratchBytes)
                 << "ceiling " << ceiling;
+            EXPECT_EQ(drainAll(stream), normalised(refs));
         }
 
         // Under the lookahead the ceiling wins, down to two slots.
         StreamOptions options;
-        options.memoryBudgetBytes =
-            (kStreamLookaheadBlocks - 1) * slotBytes + slotBytes / 2;
+        options.memoryBudgetBytes = (kStreamLookaheadBlocks - 1) *
+                                        slotBytes +
+                                    slotBytes / 2 + scratchBytes;
         StreamSource capped(path, options);
         EXPECT_EQ(capped.slotCount(), kStreamLookaheadBlocks - 1);
         EXPECT_LE(capped.bufferBytes(), options.memoryBudgetBytes);
     }
+
+    // A file past 2^31 gets the same ring and fails on the read.
+    const std::string high = writeV3("deep-high.v3", escapeTrace(2000), 64);
+    StreamSource stream(high);
+    EXPECT_EQ(stream.slotCount(), kStreamLookaheadBlocks);
+    EXPECT_THROW(drainAll(stream), SimError);
 }
 
 TEST_F(StreamTest, ReplaySkipAndResetMatchReaderAtEveryDepth)
@@ -513,6 +551,36 @@ class ArenaEnv
     ~ArenaEnv() { ::unsetenv("GAAS_BENCH_ARENA"); }
 };
 
+TEST_F(StreamTest, TraceFileWorkloadRefusesAddressesPast2To31)
+{
+    // Every replay mode of a trace-file workload -- the arena, the
+    // per-process reader (GAAS_BENCH_ARENA=0) and the stream --
+    // ingests through the same rule and names the same record.
+    std::vector<MemRef> refs;
+    for (Addr i = 0; i < 3000; ++i)
+        refs.push_back(instRef(0x40'0000 + 4 * i));
+    refs[2500] = storeRef(0x9000'0000);
+    const std::string path = writeV3("high-wl.v3", refs, 256);
+    for (const int mode : {0, 1, 2}) {
+        SCOPED_TRACE(mode);
+        ArenaEnv arena(mode == 1 ? "0" : "1");
+        try {
+            core::Simulator sim(
+                core::afterWritePolicy(),
+                core::Workload::fromTraceFiles({path}, mode == 2));
+            sim.run(10'000);
+            ADD_FAILURE() << "an address past 2^31 was simulated";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+            const std::string what = e.what();
+            EXPECT_NE(what.find("record 2500:"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("0x90000000"), std::string::npos)
+                << what;
+        }
+    }
+}
+
 TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
 {
     // Three pinned design points simulated three ways over the same
@@ -559,7 +627,7 @@ TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
         std::string viaReader;
         std::string viaArena;
         {
-            ArenaEnv off(nullptr);
+            ArenaEnv off("0");
             job.traceStreaming = false;
             viaReader = dump(job);
         }

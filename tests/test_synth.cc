@@ -504,7 +504,6 @@ TEST_P(StreamPins, NextBatchAndNextBatchPackedReproduceThePin)
         std::size_t total = 0, got = 0;
         do {
             got = bench.nextBatchPacked(words.data(), words.size());
-            ASSERT_NE(got, trace::TraceSource::kNoPacked);
             digestWords(h, words.data(), got);
             total += got;
         } while (got == words.size());
@@ -556,26 +555,62 @@ TEST(SyntheticBenchmark, MixedBatchCallsShareOneStream)
     EXPECT_EQ(got, expect);
 }
 
+/** Expect @p packed_drain to fail with the ingest rule's TraceIO
+ *  error naming record @p index. */
+template <typename Drain>
+void
+expectRejectedAt(Drain packed_drain, std::size_t index)
+{
+    try {
+        packed_drain();
+        ADD_FAILURE() << "an address past 2^31 was packed";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_NE(std::string(e.what()).find(
+                      "record " + std::to_string(index) + ":"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** Index of @p spec's first record at or above 2^31. */
+std::size_t
+firstPast2To31(const BenchmarkSpec &spec)
+{
+    SyntheticBenchmark bench(spec);
+    trace::MemRef ref;
+    std::size_t index = 0;
+    while (bench.next(ref) && (ref.addr >> 31) == 0)
+        ++index;
+    EXPECT_NE(ref.addr >> 31, 0u) << "no address past 2^31";
+    return index;
+}
+
 TEST(SyntheticBenchmark, PackedPathRefusesRegionsPast2To31)
 {
-    // Arrays reaching past 2^31 cannot be packed: the packed path
-    // declines up front, and nextBatch still plays the stream.
+    // Arrays reaching past 2^31 play through nextBatch, but the
+    // packed path refuses the first record past 2^31 by the ingest
+    // rule, naming it.
     BenchmarkSpec spec = workloadSpecs(8)[3];
     spec.data.arrayWords = 200'000'000;
-    spec.simInstructions = 1000;
+    spec.simInstructions = 100'000;
+    const std::size_t index = firstPast2To31(spec);
     SyntheticBenchmark bench(spec);
-    std::uint32_t word = 0;
-    EXPECT_EQ(bench.nextBatchPacked(&word, 1),
-              trace::TraceSource::kNoPacked);
-    trace::MemRef ref;
-    EXPECT_TRUE(bench.next(ref));
+    expectRejectedAt(
+        [&] {
+            std::vector<std::uint32_t> words(4096);
+            while (bench.nextBatchPacked(words.data(), words.size()) ==
+                   words.size()) {
+            }
+        },
+        index);
 }
 
 TEST(SyntheticBenchmark, PackedPathRejectsABurstPast2To31)
 {
-    // Store bursts run on from a stack address toward 2^31, which the
-    // region check cannot rule out: the packed batch that emits one
-    // is a structured error, never a truncated word.
+    // Store bursts run on from a stack address toward 2^31, which no
+    // region check can rule out: the packed batch that emits one
+    // is the same structured error, never a truncated word.
     BenchmarkSpec spec = workloadSpecs(8)[0];
     spec.data.storeStackFrac = 1.0;
     spec.data.storeGlobalFrac = spec.data.storeArrayFrac = 0.0;
@@ -583,19 +618,16 @@ TEST(SyntheticBenchmark, PackedPathRejectsABurstPast2To31)
     spec.loadFrac = 0.1;
     spec.storeFrac = 0.5;
     spec.simInstructions = 4'000'000;
+    const std::size_t index = firstPast2To31(spec);
     SyntheticBenchmark bench(spec);
-    std::vector<std::uint32_t> words(1 << 16);
-    try {
-        while (bench.nextBatchPacked(words.data(), words.size()) ==
-               words.size()) {
-        }
-        FAIL() << "a burst past 2^31 was packed";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Internal);
-        EXPECT_NE(std::string(e.what()).find("packed"),
-                  std::string::npos)
-            << e.what();
-    }
+    expectRejectedAt(
+        [&] {
+            std::vector<std::uint32_t> words(1 << 16);
+            while (bench.nextBatchPacked(words.data(), words.size()) ==
+                   words.size()) {
+            }
+        },
+        index);
 }
 
 } // namespace

@@ -742,11 +742,6 @@ runStreamBench(bool smoke, std::string outPath, double grefs,
         for (;;) {
             const std::size_t got =
                 drain.nextBatchPacked(buf.data(), kBatch);
-            if (got == trace::TraceSource::kNoPacked) {
-                std::cerr << "benchspeed: FAIL: synth-written v3 "
-                             "file is not packable\n";
-                return 1;
-            }
             n += got;
             if (got < kBatch)
                 break;

@@ -241,30 +241,17 @@ cmdDrain(const std::string &path, std::uint64_t stream_mb)
     trace::StreamSource src(path, options);
     constexpr std::size_t kBatch = 1u << 14;
     std::vector<std::uint32_t> packed(kBatch);
-    std::vector<trace::MemRef> refs(kBatch);
     std::uint64_t n = 0;
     const auto start = std::chrono::steady_clock::now();
-    if (src.packedCapable()) {
-        for (;;) {
-            const std::size_t got =
-                src.nextBatchPacked(packed.data(), kBatch);
-            n += got;
-            if (got < kBatch)
-                break;
-        }
-    } else {
-        for (;;) {
-            const std::size_t got =
-                src.nextBatch(refs.data(), kBatch);
-            n += got;
-            if (got < kBatch)
-                break;
-        }
+    for (;;) {
+        const std::size_t got = src.nextBatchPacked(packed.data(), kBatch);
+        n += got;
+        if (got < kBatch)
+            break;
     }
     const double secs = secondsSince(start);
     std::cout << "drained " << n << " records ("
-              << (src.packedCapable() ? "packed" : "unpacked")
-              << " path, " << src.slotCount() << " slots, "
+              << src.slotCount() << " slots, "
               << src.bufferBytes() << " buffer bytes)\n"
               << "refs_per_second: "
               << (secs > 0.0 ? static_cast<std::uint64_t>(
